@@ -87,13 +87,8 @@ def cmd_train(args):
     ckpt = os.path.join(args.out, "checkpoint.json")
     network.save_checkpoint(ckpt, net_cfg, metrics.final_params,
                             meta={"seed": cfg.seed, "status": status})
-    # measured even after a divergence, where the huge params overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = network.network_forward(
-            train._ambient(test_ds.inputs, net_cfg.model),
-            metrics.final_params, net_cfg)[0]
-        mean_defect = float(np.mean(train.prediction_defects(
-            out, net_cfg.space, net_cfg.model)))
+    mean_defect = train.mean_output_defect(test_ds.inputs, metrics.final_params,
+                                           net_cfg)
     _write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),

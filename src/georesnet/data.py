@@ -51,7 +51,7 @@ def _exp1_axial(x):
 
 def _exp2_axial(x):
     factor = np.einsum("...ij,...ji->...", x, x) + 3.0
-    return factor[..., None] * np.ones(3)
+    return np.repeat(factor[..., None], 3, axis=-1)
 
 
 EXP1 = GroundTruthODE("exp1", manifolds.SPHERE2, _exp1_axial)
@@ -94,7 +94,7 @@ def ground_truth_flow(x0, ode, steps=DEFAULT_STEPS):
         raise InvalidConfig("steps must be at least 1")
     x = np.asarray(x0, dtype=float)
     worst = np.max(manifolds.defect(ode.kind, x))
-    if worst > ON_MANIFOLD_TOL:
+    if not (worst <= ON_MANIFOLD_TOL):  # NaN fails this test too
         raise OffManifold(f"initial defect {worst:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
     h = 1.0 / steps
     sphere = ode.kind == manifolds.SPHERE2
@@ -127,20 +127,22 @@ def generate_dataset(experiment, p_train, p_test, seed, steps=DEFAULT_STEPS):
 
     Returns (train, test).  Both draw from one seeded stream, train
     first, so the two sets are independent draws and reproduce bitwise
-    for a given seed.
+    for a given seed.  The two sets are then flowed together as one
+    batch: every flow step acts on each state separately, so the targets
+    are bitwise those of flowing each set on its own, at half the
+    per-step dispatch.
     """
     if p_train < 1 or p_test < 1:
         raise InvalidConfig("dataset sizes must be at least 1")
     ode = ode_by_id(experiment)
     rng = np.random.default_rng(seed)
-    out = []
-    for count in (p_train, p_test):
-        x0 = manifolds.sample_uniform(ode.kind, rng, count)
-        y = ground_truth_flow(x0, ode, steps)
-        meta = {"seed": int(seed), "ode": ode.id, "steps": int(steps),
-                "horizon": list(HORIZON)}
-        out.append(Dataset(ode.kind, x0, y, meta))
-    return out[0], out[1]
+    x_train = manifolds.sample_uniform(ode.kind, rng, p_train)
+    x_test = manifolds.sample_uniform(ode.kind, rng, p_test)
+    y = ground_truth_flow(np.concatenate([x_train, x_test]), ode, steps)
+    return tuple(
+        Dataset(ode.kind, x0, y0, {"seed": int(seed), "ode": ode.id,
+                                   "steps": int(steps), "horizon": list(HORIZON)})
+        for x0, y0 in zip((x_train, x_test), np.split(y, [p_train])))
 
 
 def save_dataset(ds, path):

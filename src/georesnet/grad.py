@@ -28,24 +28,23 @@ import numpy as np
 
 from . import manifolds, network
 from .errors import InvalidConfig
-from .linalg import SMALL_ANGLE, _sinc_coeffs, skew_from_axial
+from .linalg import _sinc_coeffs, axial_norm, by_angle, skew_from_axial
+
+
+def _sens_series(t):
+    t2 = t ** 2
+    return (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)),
+            -1.0 / 12.0 + t2 * (1.0 / 180.0 + t2 * (-1.0 / 6720.0 + t2 / 453600.0)))
+
+
+def _sens_closed(t):
+    st, ct = np.sin(t), np.cos(t)
+    return (t * ct - st) / t ** 3, (t * st - 2.0 * (1.0 - ct)) / t ** 4
 
 
 def _sens_coeffs(theta):
     """u = s'(t)/t and v = c'(t)/t with the small-angle series branch."""
-    theta = np.asarray(theta, dtype=float)
-    u = np.empty_like(theta)
-    v = np.empty_like(theta)
-    small = theta < SMALL_ANGLE
-    t2 = theta[small] ** 2
-    u[small] = -1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0))
-    v[small] = -1.0 / 12.0 + t2 * (1.0 / 180.0 + t2 * (-1.0 / 6720.0 + t2 / 453600.0))
-    big = ~small
-    tb = theta[big]
-    st, ct = np.sin(tb), np.cos(tb)
-    u[big] = (tb * ct - st) / tb ** 3
-    v[big] = (tb * st - 2.0 * (1.0 - ct)) / tb ** 4
-    return u, v
+    return by_angle(theta, _sens_series, _sens_closed)
 
 
 def _axis_pairing(g):
@@ -65,7 +64,7 @@ def rotation_cotangent(g, omega):
       <G, E_k W + W E_k> is the axis pairing of G W^T + W^T G,
     and the W and W^2 terms contribute scalars times omega.
     """
-    theta = np.linalg.norm(omega, axis=-1)
+    theta = axial_norm(omega)
     s, c = _sinc_coeffs(theta)
     u, v = _sens_coeffs(theta)
     w = skew_from_axial(omega)

@@ -164,7 +164,7 @@ def bracket_generating_at(gens, point, depth=2):
     """
     point = np.asarray(point, dtype=float)
     d = manifolds.defect(gens.kind, point)
-    if d > ON_MANIFOLD_TOL:
+    if not (d <= ON_MANIFOLD_TOL):  # NaN fails this test too
         raise OffManifold(f"point defect {d:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
     rows = field_values_at(lie_hull(gens, depth), gens.kind, point)
     sing = np.linalg.svd(rows, compute_uv=False)
@@ -183,7 +183,7 @@ def verify_tangency(f, kind, point):
     """
     point = np.asarray(point, dtype=float)
     d = manifolds.defect(kind, point)
-    if d > ON_MANIFOLD_TOL:
+    if not (d <= ON_MANIFOLD_TOL):  # NaN fails this test too
         raise OffManifold(f"point defect {d:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
     if kind == manifolds.SPHERE2:
         return float(np.abs(point @ f.matrix @ point))

@@ -20,6 +20,8 @@ import scipy.linalg
 # to cancellation; 4-term Taylor series keep truncation error under 1e-17.
 SMALL_ANGLE = 1e-4
 
+_EYE = np.eye(3)
+
 
 def skew_from_axial(omega):
     """Skew-symmetric matrix of the axial vector, so that W @ v = omega x v."""
@@ -43,6 +45,42 @@ def axial_from_skew(mat):
     )
 
 
+def by_angle(theta, series, closed):
+    """Evaluate a tuple of coefficient arrays on both sides of SMALL_ANGLE.
+
+    series and closed each map an angle array to a tuple of arrays of its
+    shape.  When every angle falls on one side of the threshold (the
+    usual case: a step's rotations are all tiny or all not) the matching
+    branch runs on the whole array; only a mixed batch pays for the mask
+    gathers and scatters.  The arithmetic is elementwise either way, so
+    each entry is bitwise the same however the batch is split.
+    """
+    theta = np.asarray(theta, dtype=float)
+    small = theta < SMALL_ANGLE
+    if small.all():
+        return series(theta)
+    if not small.any():
+        return closed(theta)
+    big = ~small
+    out = []
+    for lo, hi in zip(series(theta[small]), closed(theta[big])):
+        merged = np.empty_like(theta)
+        merged[small] = lo
+        merged[big] = hi
+        out.append(merged)
+    return tuple(out)
+
+
+def _sinc_series(t):
+    t2 = t ** 2
+    return (1.0 - t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)),
+            0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0))))
+
+
+def _sinc_closed(t):
+    return np.sin(t) / t, (1.0 - np.cos(t)) / t ** 2
+
+
 def _sinc_coeffs(theta):
     """Return (sin(t)/t, (1-cos(t))/t^2) with a series branch near zero.
 
@@ -50,18 +88,16 @@ def _sinc_coeffs(theta):
     the SMALL_ANGLE threshold both branches agree to well under 1e-12,
     which the tests pin down.
     """
-    theta = np.asarray(theta, dtype=float)
-    s = np.empty_like(theta)
-    c = np.empty_like(theta)
-    small = theta < SMALL_ANGLE
-    t2 = theta[small] ** 2
-    s[small] = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0))
-    c[small] = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0)))
-    big = ~small
-    tb = theta[big]
-    s[big] = np.sin(tb) / tb
-    c[big] = (1.0 - np.cos(tb)) / tb ** 2
-    return s, c
+    return by_angle(theta, _sinc_series, _sinc_closed)
+
+
+def axial_norm(omega):
+    """Euclidean norm over the last axis.
+
+    The same arithmetic as np.linalg.norm(omega, axis=-1), without its
+    Python-level dispatch.
+    """
+    return np.sqrt(np.add.reduce(np.multiply(omega, omega), axis=-1))
 
 
 def expm_skew3(omega):
@@ -73,12 +109,13 @@ def expm_skew3(omega):
     formula smooth through t = 0.
     """
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    s, c = _sinc_coeffs(theta)
+    s, c = _sinc_coeffs(axial_norm(omega))
     w = skew_from_axial(omega)
-    w2 = w @ w
-    eye = np.broadcast_to(np.eye(3), w.shape)
-    return eye + s[..., None, None] * w + c[..., None, None] * w2
+    # (s W + I) + c W^2 adds in the same order as I + s W + c W^2
+    out = s[..., None, None] * w
+    out += _EYE
+    out += c[..., None, None] * (w @ w)
+    return out
 
 
 def expm_dense(mat):

@@ -139,7 +139,7 @@ def manifold_layer_forward(x, params, cfg):
     """
     x, single = _as_batch(x, 1 if cfg.space == manifolds.SPHERE2 else 2)
     worst = np.max(manifolds.defect(cfg.space, x))
-    if worst > INPUT_DEFECT_TOL:
+    if not (worst <= INPUT_DEFECT_TOL):  # NaN fails this test too
         raise OffManifold(f"layer input defect {worst:.3e} exceeds {INPUT_DEFECT_TOL:.0e}")
     z = manifold_preactivation(x, params, cfg.space)
     gate = sigmoid(z)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig
+from .errors import DivergenceDetected, InvalidConfig, OffManifold
 
 QUICK_EPOCHS = 2000
 
@@ -152,6 +152,23 @@ def prediction_defects(outputs, space, model):
     return manifolds.defect(space, outputs)
 
 
+def mean_output_defect(inputs, params, net_cfg):
+    """Mean manifold defect of the network's outputs on a batch of inputs.
+
+    Measured after a divergence too.  There the parameters are so large
+    that the overflow warnings en route are expected, and a layer state
+    that overflowed to NaN (which the layer guards report as OffManifold)
+    makes the mean NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = network.network_forward(_ambient(inputs, net_cfg.model),
+                                          params, net_cfg)[0]
+        except OffManifold:
+            return float("nan")
+        return float(np.mean(prediction_defects(out, net_cfg.space, net_cfg.model)))
+
+
 def train_loop(train_ds, test_ds, net_cfg, cfg):
     """Run the full optimization and record per-epoch metrics.
 
@@ -160,7 +177,7 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     the epoch starts with; row 0 therefore describes the freshly
     initialized net.  max_defect is the worst output defect across train
     and test predictions that epoch.  Raises DivergenceDetected with the
-    rows recorded so far if a loss stops being finite.
+    rows recorded so far if a loss or a layer state stops being finite.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
@@ -193,42 +210,52 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     # A diverging run overflows on its way to the explicit non-finite check
     # below; the intermediate overflow warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            lr = lr_schedule(epoch, cfg)
+        try:
+            for epoch in range(cfg.epochs):
+                lr = lr_schedule(epoch, cfg)
 
-            train_out, trace = network.network_forward(train_x, params, net_cfg)
-            r = train_out - train_y
-            data_term = float(np.sum(r * r)) / p_train
-            train_loss = data_term + 0.5 * cfg.lam * net_cfg.dt * grad.regularizer_norm(params)
-            test_out, _ = network.network_forward(test_x, params, net_cfg)
-            rt = (test_out - test_y).reshape(test_x.shape[0], -1)
-            test_loss = float(np.sum(rt * rt)) / test_x.shape[0]
+                train_out, trace = network.network_forward(train_x, params, net_cfg)
+                r = train_out - train_y
+                data_term = float(np.sum(r * r)) / p_train
+                train_loss = data_term + 0.5 * cfg.lam * net_cfg.dt * grad.regularizer_norm(params)
+                test_out, _ = network.network_forward(test_x, params, net_cfg)
+                rt = (test_out - test_y).reshape(test_x.shape[0], -1)
+                test_loss = float(np.sum(rt * rt)) / test_x.shape[0]
 
-            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-                raise DivergenceDetected(
-                    f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
+                if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+                    raise DivergenceDetected(
+                        f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
 
-            worst = max(np.max(prediction_defects(train_out, net_cfg.space, net_cfg.model)),
-                        np.max(prediction_defects(test_out, net_cfg.space, net_cfg.model)))
-            series["epoch"].append(epoch)
-            series["lr"].append(lr)
-            series["train_loss"].append(train_loss)
-            series["test_loss"].append(test_loss)
-            series["max_defect"].append(float(worst))
+                worst = max(np.max(prediction_defects(train_out, net_cfg.space, net_cfg.model)),
+                            np.max(prediction_defects(test_out, net_cfg.space, net_cfg.model)))
+                series["epoch"].append(epoch)
+                series["lr"].append(lr)
+                series["train_loss"].append(train_loss)
+                series["test_loss"].append(test_loss)
+                series["max_defect"].append(float(worst))
 
-            if cfg.batch_size is None or cfg.batch_size >= p_train:
-                grads = grad.backward_from_trace(trace, params, (2.0 / p_train) * r, cfg.lam)
-                flat, velocity = sgd_step(flat, network.flatten_params(grads),
-                                          velocity, lr, cfg.momentum)
-                params = network.unflatten_params(flat, net_cfg)
-            else:
-                order = rng.permutation(p_train)
-                for lo in range(0, p_train, cfg.batch_size):
-                    idx = order[lo:lo + cfg.batch_size]
-                    _, grads = grad.network_gradient(train_x[idx], train_y[idx],
-                                                     params, net_cfg, cfg.lam)
+                if cfg.batch_size is None or cfg.batch_size >= p_train:
+                    grads = grad.backward_from_trace(trace, params, (2.0 / p_train) * r, cfg.lam)
                     flat, velocity = sgd_step(flat, network.flatten_params(grads),
                                               velocity, lr, cfg.momentum)
                     params = network.unflatten_params(flat, net_cfg)
+                else:
+                    order = rng.permutation(p_train)
+                    for lo in range(0, p_train, cfg.batch_size):
+                        idx = order[lo:lo + cfg.batch_size]
+                        _, grads = grad.network_gradient(train_x[idx], train_y[idx],
+                                                         params, net_cfg, cfg.lam)
+                        flat, velocity = sgd_step(flat, network.flatten_params(grads),
+                                                  velocity, lr, cfg.momentum)
+                        params = network.unflatten_params(flat, net_cfg)
+        except OffManifold as exc:
+            # The first evaluation passed every input through the layer
+            # guards, and finite rotations keep states on the manifold, so a
+            # later guard failure is a state that overflowed to NaN/inf.
+            if not series["epoch"]:
+                raise
+            at = len(series["epoch"])
+            raise DivergenceDetected(f"non-finite network state at epoch {at}",
+                                     metrics(diverged_at=at)) from exc
 
     return metrics()

@@ -118,6 +118,19 @@ def test_train_divergence_exits_3_with_partial_metrics(tmp_path, capsys):
     assert 1 < len(rows) < 1 + 40  # some epochs recorded, not all
 
 
+def test_train_geometric_divergence_exits_3_with_a_nan_defect(tmp_path):
+    data_dir = make_data_dir(tmp_path)
+    config = write_json(tmp_path / "train.json", {"epochs": 40, "lr0": 1e100})
+    out = tmp_path / "run"
+    code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                     "--layers", "2", "--data", str(data_dir),
+                     "--config", config, "--out", str(out)])
+    assert code == 3
+    doc = json.loads((out / "meta.json").read_text())
+    assert doc["status"] == "diverged"
+    assert np.isnan(doc["final_mean_test_defect"])
+
+
 def test_train_rejects_unknown_config_keys(tmp_path):
     data_dir = make_data_dir(tmp_path)
     config = write_json(tmp_path / "train.json", {"learning_rate": 1.0})

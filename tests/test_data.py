@@ -74,6 +74,15 @@ def test_flow_rejects_bad_arguments():
         data.ground_truth_flow(np.eye(3) + 0.1, data.EXP2, steps=16)
 
 
+def test_flow_rejects_non_finite_states():
+    with pytest.raises(OffManifold):
+        data.ground_truth_flow(np.array([np.nan, 0.0, 1.0]), data.EXP1, steps=4)
+    bad = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(0), 3)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(OffManifold):
+        data.ground_truth_flow(bad, data.EXP2, steps=4)
+
+
 def test_flow_stays_on_the_manifold_at_any_step_count():
     rng = np.random.default_rng(2)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 32)
@@ -142,6 +151,23 @@ def test_generate_dataset_is_seed_deterministic():
 def test_train_and_test_draws_are_distinct():
     train, test = data.generate_dataset("exp2", 3, 3, seed=0, steps=32)
     assert not np.array_equal(train.inputs, test.inputs)
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+def test_one_flow_for_both_splits_matches_flowing_each_alone(experiment):
+    # inputs come from one stream, train first; targets are bitwise what
+    # a separate flow of each split gives
+    ode = data.ode_by_id(experiment)
+    train, test = data.generate_dataset(experiment, 7, 5, seed=11, steps=32)
+    rng = np.random.default_rng(11)
+    x_train = manifolds.sample_uniform(ode.kind, rng, 7)
+    x_test = manifolds.sample_uniform(ode.kind, rng, 5)
+    assert np.array_equal(train.inputs, x_train)
+    assert np.array_equal(test.inputs, x_test)
+    assert np.array_equal(train.targets, data.ground_truth_flow(x_train, ode, 32))
+    assert np.array_equal(test.targets, data.ground_truth_flow(x_test, ode, 32))
+    assert train.metadata == test.metadata
+    assert train.metadata is not test.metadata
 
 
 def test_generated_pairs_sit_on_the_manifold():

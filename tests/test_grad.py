@@ -77,6 +77,18 @@ def test_rotation_cotangent_is_linear_in_the_upstream():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+def test_mixed_batch_rotation_cotangent_equals_each_row_alone():
+    rng = np.random.default_rng(4)
+    axes = rng.standard_normal((8, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.array([3e-5, 0.7, 0.0, 2e-4, 1e-9, SMALL_ANGLE, 4.0, 6e-5])
+    omega = axes * angles[:, None]
+    g = rng.standard_normal((8, 3, 3))
+    batch = grad.rotation_cotangent(g, omega)
+    for i in range(len(omega)):
+        assert np.array_equal(batch[i], grad.rotation_cotangent(g[i], omega[i]))
+
+
 # --- layer VJPs -------------------------------------------------------------
 
 def test_manifold_vjp_zero_upstream_gives_zero_gradients():

@@ -156,6 +156,12 @@ def test_generating_rejects_off_manifold_points():
         lie.bracket_generating_at(gens, 1.5 * E1, depth=1)
 
 
+def test_generating_rejects_non_finite_points():
+    gens = lie.standard_generators(manifolds.SPHERE2)
+    with pytest.raises(OffManifold):
+        lie.bracket_generating_at(gens, np.array([np.nan, 0.0, 1.0]), depth=1)
+
+
 # --- verify_tangency --------------------------------------------------------
 
 def test_skew_fields_are_tangent_to_the_sphere():
@@ -192,6 +198,15 @@ def test_standard_generators_pass_tangency_everywhere():
 def test_tangency_rejects_off_manifold_points():
     with pytest.raises(OffManifold):
         lie.verify_tangency(lie.ROT_Z, manifolds.SPHERE2, 2.0 * E1)
+
+
+def test_tangency_rejects_non_finite_points():
+    point = np.eye(3)
+    point[0, 1] = np.inf
+    with pytest.raises(OffManifold):
+        lie.verify_tangency(lie.ROT_Z, manifolds.SO3, point)
+    with pytest.raises(OffManifold):
+        lie.verify_tangency(lie.ROT_Z, manifolds.SPHERE2, np.full(3, np.nan))
 
 
 # --- generator sets ---------------------------------------------------------

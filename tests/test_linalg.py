@@ -1,11 +1,13 @@
 """Skew matrices, Rodrigues exponentials, and the dense-exponential oracle."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 
+from georesnet.grad import _sens_coeffs
 from georesnet.linalg import (
-    SMALL_ANGLE, axial_from_skew, expm_dense, expm_skew3, frobenius_inner,
-    skew_from_axial,
+    SMALL_ANGLE, _sinc_coeffs, axial_from_skew, expm_dense, expm_skew3,
+    frobenius_inner, skew_from_axial,
 )
 
 BZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -118,6 +120,54 @@ def test_tiny_angles_are_exact_to_first_order():
 def test_exp_batched_shapes():
     w = np.zeros((7, 2, 3))
     assert expm_skew3(w).shape == (7, 2, 3, 3)
+
+
+def test_mixed_batch_exponential_equals_each_row_alone():
+    # rows on both sides of SMALL_ANGLE, exactly at it, and at zero
+    rng = np.random.default_rng(7)
+    axes = rng.standard_normal((8, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.array([3e-5, 0.7, 0.0, 2e-4, 1e-9, SMALL_ANGLE, 4.0, 6e-5])
+    w = axes * angles[:, None]
+    batch = expm_skew3(w)
+    for i in range(len(w)):
+        assert np.array_equal(batch[i], expm_skew3(w[i]))
+
+
+# --- series / closed-form dispatch of the Rodrigues coefficients -----------
+
+SMALL_ANGLES = np.array([0.0, 1e-12, 3e-5, 6.1e-5, SMALL_ANGLE * (1.0 - 1e-12)])
+BIG_ANGLES = np.array([SMALL_ANGLE, 2.1e-4, 6.3e-4, 0.5, np.pi, 40.0])
+
+
+@pytest.mark.parametrize("coeffs", [_sinc_coeffs, _sens_coeffs])
+def test_coefficients_agree_across_all_dispatch_paths(coeffs):
+    # the all-small and all-big batches take the two whole-array paths
+    expected = [np.concatenate(p)
+                for p in zip(coeffs(SMALL_ANGLES), coeffs(BIG_ANGLES))]
+    angles = np.concatenate([SMALL_ANGLES, BIG_ANGLES])
+    order = np.random.default_rng(8).permutation(len(angles))
+    for got, want in zip(coeffs(angles[order]), expected):  # masked path
+        assert np.array_equal(got, want[order])
+    for i, t in enumerate(angles):                          # 0-d angles
+        for got, want in zip(coeffs(t), expected):
+            assert np.shape(got) == () and got == want[i]
+
+
+def test_all_small_angles_take_the_series_branch():
+    # the closed forms are 0/0 at t = 0; the series gives the limits
+    s, c = _sinc_coeffs(np.zeros(4))
+    assert np.array_equal(s, np.ones(4)) and np.array_equal(c, np.full(4, 0.5))
+    u, v = _sens_coeffs(np.zeros(4))
+    assert np.array_equal(u, np.full(4, -1.0 / 3.0))
+    assert np.array_equal(v, np.full(4, -1.0 / 12.0))
+
+
+def test_all_big_angles_take_the_closed_form_branch():
+    t = np.array([0.5, 1.0, 2.0])
+    s, c = _sinc_coeffs(t)
+    assert np.array_equal(s, np.sin(t) / t)
+    assert np.array_equal(c, (1.0 - np.cos(t)) / t ** 2)
 
 
 # --- expm_dense -------------------------------------------------------------

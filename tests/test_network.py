@@ -102,6 +102,15 @@ def test_layer_rejects_off_manifold_input():
         network.manifold_layer_forward(2.0 * E1, params[0], cfg)
 
 
+def test_layer_rejects_non_finite_input():
+    cfg = so3_cfg(1)
+    params = network.init_params(cfg, np.random.default_rng(3))
+    x = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(4), 4)
+    x[2] = np.nan
+    with pytest.raises(OffManifold):
+        network.manifold_layer_forward(x, params[0], cfg)
+
+
 def test_random_eight_layer_forward_stays_on_the_sphere():
     rng = np.random.default_rng(4)
     cfg = sphere_cfg(8)

@@ -111,6 +111,16 @@ def test_run_cell_records_divergence_as_a_status():
     assert res.metrics.diverged_at is not None
 
 
+def test_run_cell_records_a_geometric_divergence_with_a_nan_defect():
+    # the parameters overflow the rotation angle, so the layer states go
+    # NaN, which the layer guards report; the cell still ends as a status
+    spec = tiny_spec(train={"epochs": 30, "lr0": 1e100})
+    res = sweep.run_cell(spec, tiny_datasets(spec), network.MANIFOLD, 2, seed=0)
+    assert res.status == "diverged"
+    assert len(res.metrics) == res.metrics.diverged_at
+    assert math.isnan(res.final_mean_defect)
+
+
 # --- whole sweeps -----------------------------------------------------------
 
 def test_run_sweep_writes_the_artifact_tree(tmp_path):

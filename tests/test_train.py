@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from georesnet import data, grad, manifolds, network, train
-from georesnet.errors import DivergenceDetected, InvalidConfig
+from georesnet.errors import DivergenceDetected, InvalidConfig, OffManifold
 
 
 def sphere_config(layers, model=network.MANIFOLD):
@@ -201,6 +201,26 @@ def test_runaway_step_size_raises_with_partial_metrics():
     assert metrics.diverged_at is not None
     assert len(metrics) == metrics.diverged_at
     assert np.all(np.isfinite(metrics.train_loss))
+
+
+def test_runaway_minibatch_run_raises_with_partial_metrics():
+    # the first minibatch step overflows the parameters, so the second
+    # minibatch's forward meets a non-finite state inside epoch 0
+    train_ds, test_ds = small_datasets()
+    cfg = train.TrainConfig(lr0=1e100, epochs=100, batch_size=3, seed=0)
+    with pytest.raises(DivergenceDetected) as info:
+        train.train_loop(train_ds, test_ds, sphere_config(2), cfg)
+    metrics = info.value.metrics
+    assert len(metrics) == metrics.diverged_at
+    assert np.all(np.isfinite(metrics.train_loss))
+
+
+def test_off_manifold_inputs_are_not_reported_as_divergence():
+    train_ds, test_ds = small_datasets()
+    train_ds.inputs[0] = np.nan
+    with pytest.raises(OffManifold):
+        train.train_loop(train_ds, test_ds, sphere_config(2),
+                         train.TrainConfig(epochs=3, seed=0))
 
 
 def test_minibatch_training_is_deterministic():
