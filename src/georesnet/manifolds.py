@@ -37,16 +37,19 @@ def defect(kind, value):
     """Distance from the manifold constraint, 0 for exact points.
 
     S2: | ||x|| - 1 |.  SO(3): ||X^T X - I||_F + |det X - 1|.  Batched over
-    leading axes.
+    leading axes.  A point holding NaN or inf, or entries so large that
+    their squares overflow, has a NaN or inf defect, and computing it
+    raises no warning: the caller's guard reports it.
     """
     check_kind(kind)
     value = np.asarray(value, dtype=float)
-    if kind == SPHERE2:
-        return np.abs(np.linalg.norm(value, axis=-1) - 1.0)
-    gram = np.swapaxes(value, -1, -2) @ value
-    eye = np.eye(3)
-    ortho = np.linalg.norm((gram - eye).reshape(gram.shape[:-2] + (9,)), axis=-1)
-    return ortho + np.abs(np.linalg.det(value) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == SPHERE2:
+            return np.abs(np.linalg.norm(value, axis=-1) - 1.0)
+        gram = np.swapaxes(value, -1, -2) @ value
+        eye = np.eye(3)
+        ortho = np.linalg.norm((gram - eye).reshape(gram.shape[:-2] + (9,)), axis=-1)
+        return ortho + np.abs(np.linalg.det(value) - 1.0)
 
 
 def _quat_to_matrix(q):

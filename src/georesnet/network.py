@@ -101,14 +101,11 @@ class ForwardTrace:
 def sigmoid(z):
     """Logistic function, overflow-safe on both tails."""
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
-    out = np.empty_like(zz)
-    pos = zz >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-zz[pos]))
-    ez = np.exp(zz[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out.reshape(z.shape)
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without an
+    # exponent that can overflow
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if z.ndim == 0 else out
 
 
 def vec_activation(x):
@@ -123,10 +120,23 @@ def _as_batch(value, item_ndim):
     return value, False
 
 
+def _matmul_rows(a, b):
+    """a @ b for a batch of rows a, each row rounded as in any other batch.
+
+    numpy hands a one-row product to BLAS gemv and a taller one to gemm,
+    and the two can differ in the last bit.  A lone row is doubled so that
+    it takes gemm too; a row's result then does not depend on its batch,
+    which lets train_loop run train and test rows through one forward.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def manifold_preactivation(x, params, space):
     """z_i = w_i . x + b_i (sphere) or <W_i, X>_F + b_i (rotations)."""
     if space == manifolds.SPHERE2:
-        return x @ params.weights.T + params.biases
+        return _matmul_rows(x, params.weights.T) + params.biases
     return np.einsum("mij,pij->pm", params.weights, x) + params.biases
 
 
@@ -136,15 +146,16 @@ def manifold_layer_forward(x, params, cfg):
     The axial entry is the rotation-coordinate vector dt * sum_i gain_i *
     sigma(z_i) * axial(B_i) actually exponentiated, kept for the backward
     pass and for diagnostics.
+
+    x must already lie on the manifold; the layer does not check.
+    network_forward checks the network input once, and a rotation keeps a
+    finite state on the manifold.
     """
     x, single = _as_batch(x, 1 if cfg.space == manifolds.SPHERE2 else 2)
-    worst = np.max(manifolds.defect(cfg.space, x))
-    if not (worst <= INPUT_DEFECT_TOL):  # NaN fails this test too
-        raise OffManifold(f"layer input defect {worst:.3e} exceeds {INPUT_DEFECT_TOL:.0e}")
     z = manifold_preactivation(x, params, cfg.space)
     gate = sigmoid(z)
     f = params.gains * gate
-    omega = cfg.dt * (f @ cfg.generators.axials)
+    omega = cfg.dt * _matmul_rows(f, cfg.generators.axials)
     rot = expm_skew3(omega)
     if cfg.space == manifolds.SPHERE2:
         out = np.einsum("pij,pj->pi", rot, x)
@@ -167,7 +178,9 @@ def network_forward(x0, params, cfg):
 
     x0 is a single state or a batch; params is the per-layer list, whose
     length must equal cfg.layers.  Classical inputs are flattened ambient
-    vectors of length cfg.state_dim.
+    vectors of length cfg.state_dim.  Geometric inputs whose defect exceeds
+    INPUT_DEFECT_TOL, or is NaN, raise OffManifold; this is the only
+    manifold check on the way through the layers.
     """
     if len(params) != cfg.layers:
         raise InvalidConfig(f"expected {cfg.layers} layer params, got {len(params)}")
@@ -179,6 +192,9 @@ def network_forward(x0, params, cfg):
 def _manifold_forward(x0, params, cfg):
     item_ndim = 1 if cfg.space == manifolds.SPHERE2 else 2
     x, single = _as_batch(x0, item_ndim)
+    worst = np.max(manifolds.defect(cfg.space, x))
+    if not (worst <= INPUT_DEFECT_TOL):  # NaN fails this test too
+        raise OffManifold(f"network input defect {worst:.3e} exceeds {INPUT_DEFECT_TOL:.0e}")
     p = x.shape[0]
     m = len(cfg.generators.fields)
     states = np.empty((cfg.layers + 1,) + x.shape)
@@ -206,9 +222,9 @@ def _classical_forward(x0, params, cfg):
     gates = np.empty_like(preacts)
     states[0] = x
     for n in range(cfg.layers):
-        pre = x @ params[n].w_in.T + params[n].bias
+        pre = _matmul_rows(x, params[n].w_in.T) + params[n].bias
         gate = sigmoid(pre)
-        x = x + cfg.dt * (gate @ params[n].w_out.T)
+        x = x + cfg.dt * _matmul_rows(gate, params[n].w_out.T)
         states[n + 1] = x
         preacts[n] = pre
         gates[n] = gate
@@ -261,7 +277,10 @@ def flatten_params(params):
 
 
 def unflatten_params(vec, cfg):
-    """Inverse of flatten_params for the given architecture."""
+    """Inverse of flatten_params for the given architecture.
+
+    The returned arrays are views into vec, so writing to vec updates them.
+    """
     vec = np.asarray(vec, dtype=float)
     if vec.size != param_count(cfg):
         raise InvalidConfig(f"expected {param_count(cfg)} scalars, got {vec.size}")
@@ -273,7 +292,7 @@ def unflatten_params(vec, cfg):
         n = int(np.prod(shape))
         chunk = vec[pos:pos + n].reshape(shape)
         pos += n
-        return chunk.copy()
+        return chunk
 
     for _ in range(cfg.layers):
         if cfg.model == MANIFOLD:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, OffManifold
+from .errors import DivergenceDetected, InvalidConfig
 
 QUICK_EPOCHS = 2000
 
@@ -157,16 +157,20 @@ def mean_output_defect(inputs, params, net_cfg):
 
     Measured after a divergence too.  There the parameters are so large
     that the overflow warnings en route are expected, and a layer state
-    that overflowed to NaN (which the layer guards report as OffManifold)
-    makes the mean NaN.
+    that overflowed to NaN carries through to the outputs and makes the
+    mean NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            out = network.network_forward(_ambient(inputs, net_cfg.model),
-                                          params, net_cfg)[0]
-        except OffManifold:
-            return float("nan")
+        out = network.network_forward(_ambient(inputs, net_cfg.model), params, net_cfg)[0]
         return float(np.mean(prediction_defects(out, net_cfg.space, net_cfg.model)))
+
+
+def _train_rows(trace, p_train):
+    """The trace of the first p_train rows of a batch, as views."""
+    return network.ForwardTrace(
+        trace.config, trace.states[:, :p_train], trace.preacts[:, :p_train],
+        trace.gates[:, :p_train],
+        None if trace.axials is None else trace.axials[:, :p_train])
 
 
 def train_loop(train_ds, test_ds, net_cfg, cfg):
@@ -177,20 +181,26 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     the epoch starts with; row 0 therefore describes the freshly
     initialized net.  max_defect is the worst output defect across train
     and test predictions that epoch.  Raises DivergenceDetected with the
-    rows recorded so far if a loss or a layer state stops being finite.
+    rows recorded so far if a loss stops being finite.
+
+    Each epoch runs one forward pass over the train and test inputs
+    together; every layer treats rows independently, so the split outputs
+    are bitwise those of two separate passes.  The parameters live in one
+    flat vector, and params holds views into it, so each SGD step writes
+    straight through to the layers.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
     rng = np.random.default_rng(cfg.seed)
-    params = network.init_params(net_cfg, rng)
-    flat = network.flatten_params(params)
+    flat = network.flatten_params(network.init_params(net_cfg, rng))
+    params = network.unflatten_params(flat, net_cfg)
     velocity = np.zeros_like(flat)
 
     train_x = _ambient(train_ds.inputs, net_cfg.model)
     train_y = _ambient(train_ds.targets, net_cfg.model)
-    test_x = _ambient(test_ds.inputs, net_cfg.model)
     test_y = _ambient(test_ds.targets, net_cfg.model)
-    p_train = train_x.shape[0]
+    all_x = np.concatenate([train_x, _ambient(test_ds.inputs, net_cfg.model)])
+    p_train, p_test = train_x.shape[0], test_y.shape[0]
 
     series = {name: [] for name in METRICS_COLUMNS}
     start = time.perf_counter()
@@ -210,52 +220,39 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     # A diverging run overflows on its way to the explicit non-finite check
     # below; the intermediate overflow warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for epoch in range(cfg.epochs):
-                lr = lr_schedule(epoch, cfg)
+        for epoch in range(cfg.epochs):
+            lr = lr_schedule(epoch, cfg)
 
-                train_out, trace = network.network_forward(train_x, params, net_cfg)
-                r = train_out - train_y
-                data_term = float(np.sum(r * r)) / p_train
-                train_loss = data_term + 0.5 * cfg.lam * net_cfg.dt * grad.regularizer_norm(params)
-                test_out, _ = network.network_forward(test_x, params, net_cfg)
-                rt = (test_out - test_y).reshape(test_x.shape[0], -1)
-                test_loss = float(np.sum(rt * rt)) / test_x.shape[0]
+            all_out, trace = network.network_forward(all_x, params, net_cfg)
+            r = all_out[:p_train] - train_y
+            data_term = float(np.sum(r * r)) / p_train
+            train_loss = data_term + 0.5 * cfg.lam * net_cfg.dt * grad.regularizer_norm(params)
+            rt = (all_out[p_train:] - test_y).reshape(p_test, -1)
+            test_loss = float(np.sum(rt * rt)) / p_test
 
-                if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-                    raise DivergenceDetected(
-                        f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
+            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+                raise DivergenceDetected(
+                    f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
 
-                worst = max(np.max(prediction_defects(train_out, net_cfg.space, net_cfg.model)),
-                            np.max(prediction_defects(test_out, net_cfg.space, net_cfg.model)))
-                series["epoch"].append(epoch)
-                series["lr"].append(lr)
-                series["train_loss"].append(train_loss)
-                series["test_loss"].append(test_loss)
-                series["max_defect"].append(float(worst))
+            worst = np.max(prediction_defects(all_out, net_cfg.space, net_cfg.model))
+            series["epoch"].append(epoch)
+            series["lr"].append(lr)
+            series["train_loss"].append(train_loss)
+            series["test_loss"].append(test_loss)
+            series["max_defect"].append(float(worst))
 
-                if cfg.batch_size is None or cfg.batch_size >= p_train:
-                    grads = grad.backward_from_trace(trace, params, (2.0 / p_train) * r, cfg.lam)
-                    flat, velocity = sgd_step(flat, network.flatten_params(grads),
-                                              velocity, lr, cfg.momentum)
-                    params = network.unflatten_params(flat, net_cfg)
-                else:
-                    order = rng.permutation(p_train)
-                    for lo in range(0, p_train, cfg.batch_size):
-                        idx = order[lo:lo + cfg.batch_size]
-                        _, grads = grad.network_gradient(train_x[idx], train_y[idx],
-                                                         params, net_cfg, cfg.lam)
-                        flat, velocity = sgd_step(flat, network.flatten_params(grads),
-                                                  velocity, lr, cfg.momentum)
-                        params = network.unflatten_params(flat, net_cfg)
-        except OffManifold as exc:
-            # The first evaluation passed every input through the layer
-            # guards, and finite rotations keep states on the manifold, so a
-            # later guard failure is a state that overflowed to NaN/inf.
-            if not series["epoch"]:
-                raise
-            at = len(series["epoch"])
-            raise DivergenceDetected(f"non-finite network state at epoch {at}",
-                                     metrics(diverged_at=at)) from exc
+            if cfg.batch_size is None or cfg.batch_size >= p_train:
+                trace = _train_rows(trace, p_train)
+                grads = grad.backward_from_trace(trace, params, (2.0 / p_train) * r, cfg.lam)
+                flat[...], velocity = sgd_step(flat, network.flatten_params(grads),
+                                               velocity, lr, cfg.momentum)
+            else:
+                order = rng.permutation(p_train)
+                for lo in range(0, p_train, cfg.batch_size):
+                    idx = order[lo:lo + cfg.batch_size]
+                    _, grads = grad.network_gradient(train_x[idx], train_y[idx],
+                                                     params, net_cfg, cfg.lam)
+                    flat[...], velocity = sgd_step(flat, network.flatten_params(grads),
+                                                   velocity, lr, cfg.momentum)
 
     return metrics()

@@ -44,6 +44,23 @@ def test_sigmoid_never_overflows():
         assert 0.0 <= out <= 1.0
 
 
+def test_sigmoid_matches_the_two_branch_form_bitwise():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                        [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]])
+    pos = z >= 0
+    expected = np.empty_like(z)
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    expected[~pos] = ez / (1.0 + ez)
+    out = network.sigmoid(z)
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.array_equal(network.sigmoid(z.reshape(-1, 8)), expected.reshape(-1, 8),
+                          equal_nan=True)
+    scalar = network.sigmoid(-3.0)
+    assert isinstance(scalar, float)
+    assert scalar == np.exp(-3.0) / (1.0 + np.exp(-3.0))
+
+
 def test_vec_activation_componentwise():
     assert np.array_equal(network.vec_activation(np.zeros(5)), np.full(5, 0.5))
     assert np.max(np.abs(network.vec_activation(np.full(4, 50.0)) - 1.0)) <= 1e-15
@@ -96,19 +113,47 @@ def test_constant_gate_layer_rotates_by_the_expected_angle():
 
 
 def test_layer_rejects_off_manifold_input():
-    cfg = sphere_cfg(1)
-    params = network.init_params(cfg, np.random.default_rng(3))
-    with pytest.raises(OffManifold):
-        network.manifold_layer_forward(2.0 * E1, params[0], cfg)
+    # the check sits at network entry; the layers themselves do not repeat it
+    rng = np.random.default_rng(3)
+    for cfg, x in ((sphere_cfg(3), 2.0 * E1),
+                   (so3_cfg(2), 2.0 * manifolds.sample_uniform(manifolds.SO3, rng, 4))):
+        params = network.init_params(cfg, rng)
+        with pytest.raises(OffManifold):
+            network.network_forward(x, params, cfg)
 
 
 def test_layer_rejects_non_finite_input():
-    cfg = so3_cfg(1)
-    params = network.init_params(cfg, np.random.default_rng(3))
-    x = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(4), 4)
-    x[2] = np.nan
-    with pytest.raises(OffManifold):
-        network.manifold_layer_forward(x, params[0], cfg)
+    rng = np.random.default_rng(4)
+    for cfg in (sphere_cfg(2), so3_cfg(3)):
+        params = network.init_params(cfg, rng)
+        for bad in (np.nan, np.inf):
+            x = manifolds.sample_uniform(cfg.space, rng, 4)
+            x[2] = bad
+            with pytest.raises(OffManifold):
+                network.network_forward(x, params, cfg)
+
+
+def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
+    # train_loop runs train and test inputs through one forward pass and
+    # relies on every row coming out exactly as it would alone
+    rng = np.random.default_rng(5)
+    for cfg in (sphere_cfg(3), so3_cfg(3), sphere_cfg(2, network.CLASSICAL),
+                so3_cfg(2, network.CLASSICAL)):
+        params = network.init_params(cfg, rng)
+        for p in (1, 3, 100):
+            a = manifolds.sample_uniform(cfg.space, rng, p)
+            b = manifolds.sample_uniform(cfg.space, rng, p + 1)
+            if cfg.model == network.CLASSICAL:
+                a, b = a.reshape(p, -1), b.reshape(p + 1, -1)
+            out, trace = network.network_forward(np.concatenate([a, b]), params, cfg)
+            for part, rows in ((a, slice(0, p)), (b, slice(p, None))):
+                alone, alone_trace = network.network_forward(part, params, cfg)
+                assert np.array_equal(out[rows], alone)
+                assert np.array_equal(trace.states[:, rows], alone_trace.states)
+                assert np.array_equal(trace.preacts[:, rows], alone_trace.preacts)
+                assert np.array_equal(trace.gates[:, rows], alone_trace.gates)
+                if cfg.model == network.MANIFOLD:
+                    assert np.array_equal(trace.axials[:, rows], alone_trace.axials)
 
 
 def test_random_eight_layer_forward_stays_on_the_sphere():
@@ -284,6 +329,18 @@ def test_flatten_round_trip_is_bitwise():
         flat = network.flatten_params(params)
         back = network.flatten_params(network.unflatten_params(flat, cfg))
         assert np.array_equal(flat, back)
+
+
+def test_unflatten_returns_views_into_the_vector():
+    rng = np.random.default_rng(20)
+    for cfg in (so3_cfg(2), sphere_cfg(2, network.CLASSICAL)):
+        flat = network.flatten_params(network.init_params(cfg, rng))
+        params = network.unflatten_params(flat, cfg)
+        for layer in params:
+            for field in vars(layer).values():
+                assert np.shares_memory(field, flat)
+        flat[...] = 7.0
+        assert np.all(network.flatten_params(params) == 7.0)
 
 
 def test_unflatten_rejects_wrong_size():

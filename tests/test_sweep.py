@@ -113,7 +113,7 @@ def test_run_cell_records_divergence_as_a_status():
 
 def test_run_cell_records_a_geometric_divergence_with_a_nan_defect():
     # the parameters overflow the rotation angle, so the layer states go
-    # NaN, which the layer guards report; the cell still ends as a status
+    # NaN and so does the loss; the cell still ends as a status
     spec = tiny_spec(train={"epochs": 30, "lr0": 1e100})
     res = sweep.run_cell(spec, tiny_datasets(spec), network.MANIFOLD, 2, seed=0)
     assert res.status == "diverged"

@@ -153,6 +153,13 @@ def test_first_row_describes_the_untouched_initialization():
     out, _ = network.network_forward(train_ds.inputs, params, net_cfg)
     expected = train.loss(out, train_ds.targets, params, cfg.lam, net_cfg.dt)
     assert metrics.train_loss[0] == expected
+    # the test rows ride along in the train pass; they must come out as
+    # they would from a forward of their own
+    test_out, _ = network.network_forward(test_ds.inputs, params, net_cfg)
+    assert metrics.test_loss[0] == train.loss(test_out, test_ds.targets, [], 0.0, net_cfg.dt)
+    worst = max(np.max(manifolds.defect(net_cfg.space, out)),
+                np.max(manifolds.defect(net_cfg.space, test_out)))
+    assert metrics.max_defect[0] == worst
     assert metrics.epoch[0] == 0
     assert metrics.lr[0] == cfg.lr0
 
@@ -204,15 +211,17 @@ def test_runaway_step_size_raises_with_partial_metrics():
 
 
 def test_runaway_minibatch_run_raises_with_partial_metrics():
-    # the first minibatch step overflows the parameters, so the second
-    # minibatch's forward meets a non-finite state inside epoch 0
+    # the first minibatch step overflows the parameters and the later
+    # minibatches of epoch 0 turn them NaN, so the loss of epoch 1 is
+    # non-finite
     train_ds, test_ds = small_datasets()
     cfg = train.TrainConfig(lr0=1e100, epochs=100, batch_size=3, seed=0)
     with pytest.raises(DivergenceDetected) as info:
         train.train_loop(train_ds, test_ds, sphere_config(2), cfg)
     metrics = info.value.metrics
-    assert len(metrics) == metrics.diverged_at
+    assert len(metrics) == metrics.diverged_at == 1
     assert np.all(np.isfinite(metrics.train_loss))
+    assert np.all(np.isnan(network.flatten_params(metrics.final_params)))
 
 
 def test_off_manifold_inputs_are_not_reported_as_divergence():
