@@ -9,10 +9,6 @@ class OffManifold(GeoResNetError):
     """A state that should lie on the manifold has too large a defect."""
 
 
-class DegenerateInput(GeoResNetError):
-    """Input admits no well-defined result (zero vector, singular matrix)."""
-
-
 class InvalidConfig(GeoResNetError):
     """A configuration object violates its own invariants."""
 

@@ -86,7 +86,7 @@ def manifold_layer_vjp(x_in, preact, gate, omega, params, cfg, upstream):
     the rotation acting on x and for the rotation's own dependence on x
     through the gates.  Parameter gradients are summed over the batch.
     """
-    item_ndim = 1 if cfg.space == manifolds.SPHERE2 else 2
+    item_ndim = len(cfg.state_shape)
     x, single = network._as_batch(x_in, item_ndim)
     vout = network._as_batch(upstream, item_ndim)[0]
     preact, gate, omega = (np.atleast_2d(a) for a in (preact, gate, omega))
@@ -112,29 +112,28 @@ def manifold_layer_vjp(x_in, preact, gate, omega, params, cfg, upstream):
     return (x_cot[0] if single else x_cot), grad
 
 
-def classical_layer_vjp(x_in, params, dt, upstream):
-    """Backward step for one residual block; closed-form chain rule."""
+def classical_layer_vjp(x_in, gate, params, dt, upstream):
+    """Backward step for one residual block; closed-form chain rule.
+
+    gate is sigma(w_in x + bias) as the forward pass recorded it.  The
+    per-row products go through network._matmul_rows, so a row's input
+    cotangent does not depend on the batch it came in.
+    """
     x, single = network._as_batch(x_in, 1)
     vout = network._as_batch(upstream, 1)[0]
-    pre = x @ params.w_in.T + params.bias
-    s = network.sigmoid(pre)
+    s = np.atleast_2d(gate)
     w_out_grad = dt * (vout.T @ s)
-    t = (vout @ params.w_out) * (s * (1.0 - s))
+    t = network._matmul_rows(vout, params.w_out) * (s * (1.0 - s))
     w_in_grad = dt * (t.T @ x)
     bias_grad = dt * np.sum(t, axis=0)
-    x_cot = vout + dt * (t @ params.w_in)
+    x_cot = vout + dt * network._matmul_rows(t, params.w_in)
     grad = network.ClassicalLayerParams(w_out_grad, w_in_grad, bias_grad)
     return (x_cot[0] if single else x_cot), grad
 
 
 def _batch(inputs, targets, cfg):
-    item_ndim = 2 if (cfg.model == network.MANIFOLD
-                      and cfg.space == manifolds.SO3) else 1
-    x, _ = network._as_batch(inputs, item_ndim)
-    y, _ = network._as_batch(targets, item_ndim)
-    if x.shape != y.shape:
-        raise InvalidConfig("inputs and targets must have matching shapes")
-    return x, y
+    item_ndim = len(cfg.state_shape)
+    return network._as_batch(inputs, item_ndim)[0], network._as_batch(targets, item_ndim)[0]
 
 
 def regularizer_norm(params):
@@ -144,13 +143,26 @@ def regularizer_norm(params):
     return float(np.sum(network.flatten_params(params) ** 2))
 
 
+def objective(outputs, targets, params, lam, dt):
+    """The training objective of a batch of outputs, as (loss, residual).
+
+    loss = (1/P) sum_j ||outputs_j - targets_j||^2 + (lam dt / 2) ||Theta||^2
+    and the residual is outputs - targets.  The test loss is the plain
+    mean squared error: no params and lam = 0.
+    """
+    outputs = np.asarray(outputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if outputs.shape != targets.shape or outputs.ndim < 1 or len(outputs) < 1:
+        raise InvalidConfig("outputs and targets must be matching nonempty batches")
+    r = outputs - targets
+    data = float(np.sum(r * r)) / len(r)
+    return data + 0.5 * lam * dt * regularizer_norm(params), r
+
+
 def network_loss(inputs, targets, params, cfg, lam):
-    """Objective value: mean squared deviation plus (lam dt / 2) ||Theta||^2."""
+    """Objective value of the network on a batch of inputs and targets."""
     x, y = _batch(inputs, targets, cfg)
-    out, _ = network.network_forward(x, params, cfg)
-    r = (out - y).reshape(x.shape[0], -1)
-    data = float(np.sum(r * r)) / x.shape[0]
-    return data + 0.5 * lam * cfg.dt * regularizer_norm(params)
+    return objective(network.network_forward(x, params, cfg)[0], y, params, lam, cfg.dt)[0]
 
 
 def backward_from_trace(trace, params, upstream, lam):
@@ -161,21 +173,19 @@ def backward_from_trace(trace, params, upstream, lam):
     gradient of data term plus lam * dt * theta from the Tikhonov term.
     """
     cfg = trace.config
+    schema = network.layer_schema(cfg)[1]
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
             upstream, g = manifold_layer_vjp(
                 trace.states[n], trace.preacts[n], trace.gates[n],
                 trace.axials[n], params[n], cfg, upstream)
-            g.gains += lam * cfg.dt * params[n].gains
-            g.weights += lam * cfg.dt * params[n].weights
-            g.biases += lam * cfg.dt * params[n].biases
         else:
             upstream, g = classical_layer_vjp(
-                trace.states[n], params[n], cfg.dt, upstream)
-            g.w_out += lam * cfg.dt * params[n].w_out
-            g.w_in += lam * cfg.dt * params[n].w_in
-            g.bias += lam * cfg.dt * params[n].bias
+                trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)
+        for name, _ in schema:
+            value = getattr(g, name)
+            value += lam * cfg.dt * getattr(params[n], name)
         grads[n] = g
     return grads
 
@@ -187,13 +197,9 @@ def network_gradient(inputs, targets, params, cfg, lam):
     cotangent seeding the backward sweep is (2/P) (out - y).
     """
     x, y = _batch(inputs, targets, cfg)
-    p = x.shape[0]
     out, trace = network.network_forward(x, params, cfg)
-    r = out - y
-    data = float(np.sum(r * r)) / p
-    grads = backward_from_trace(trace, params, (2.0 / p) * r, lam)
-    loss = data + 0.5 * lam * cfg.dt * regularizer_norm(params)
-    return loss, grads
+    loss, r = objective(out, y, params, lam, cfg.dt)
+    return loss, backward_from_trace(trace, params, (2.0 / len(r)) * r, lam)
 
 
 def central_difference(fn, vec, step):

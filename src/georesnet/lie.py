@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import manifolds
-from .errors import InvalidConfig, OffManifold
+from .errors import InvalidConfig
 from .linalg import skew_from_axial
 
 # Relative singular-value cutoff for the numerical rank decision; relative
@@ -29,8 +29,6 @@ RANK_CUTOFF = 1e-10
 
 # Normalized-distance threshold under which two fields count as duplicates.
 DEDUP_TOL = 1e-10
-
-ON_MANIFOLD_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +78,6 @@ ROT_Z = LinearField(skew_from_axial([0.0, 0.0, 1.0]), name="rot_z")
 ROT_Y = LinearField(skew_from_axial([0.0, 1.0, 0.0]), name="rot_y")
 ROT_X = LinearField(skew_from_axial([1.0, 0.0, 0.0]), name="rot_x")
 
-_BY_NAME = {f.name: f for f in (ROT_Z, ROT_Y, ROT_X)}
-
 
 def standard_generators(kind):
     """The benchmark generator sets: (rot_z, rot_y) on S2, all three on SO(3)."""
@@ -89,12 +85,6 @@ def standard_generators(kind):
     if kind == manifolds.SPHERE2:
         return GeneratorSet((ROT_Z, ROT_Y), kind)
     return GeneratorSet((ROT_Z, ROT_Y, ROT_X), kind)
-
-
-def generator_by_name(name):
-    if name not in _BY_NAME:
-        raise InvalidConfig(f"unknown generator name {name!r}")
-    return _BY_NAME[name]
 
 
 def lie_bracket_linear(f, g):
@@ -163,9 +153,7 @@ def bracket_generating_at(gens, point, depth=2):
     RANK_CUTOFF times the largest, with the manifold's tangent dimension.
     """
     point = np.asarray(point, dtype=float)
-    d = manifolds.defect(gens.kind, point)
-    if not (d <= ON_MANIFOLD_TOL):  # NaN fails this test too
-        raise OffManifold(f"point defect {d:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
+    manifolds.check_on_manifold(gens.kind, point, "point")
     rows = field_values_at(lie_hull(gens, depth), gens.kind, point)
     sing = np.linalg.svd(rows, compute_uv=False)
     if sing[0] == 0.0:
@@ -182,9 +170,7 @@ def verify_tangency(f, kind, point):
     lies in the tangent space at X.  Zero for skew B in both cases.
     """
     point = np.asarray(point, dtype=float)
-    d = manifolds.defect(kind, point)
-    if not (d <= ON_MANIFOLD_TOL):  # NaN fails this test too
-        raise OffManifold(f"point defect {d:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
+    manifolds.check_on_manifold(kind, point, "point")
     if kind == manifolds.SPHERE2:
         return float(np.abs(point @ f.matrix @ point))
     conj = point.T @ f.matrix @ point

@@ -126,10 +126,3 @@ def expm_dense(mat):
     other.  Accepts a single matrix only.
     """
     return scipy.linalg.expm(np.asarray(mat, dtype=float))
-
-
-def frobenius_inner(a, b):
-    """Sum of entrywise products, Tr(A^T B).  Batched over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.sum(a * b, axis=(-2, -1))

@@ -8,11 +8,14 @@ kind as their first argument because a (3, 3) array is ambiguous on its own.
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidConfig
+from .errors import InvalidConfig, OffManifold
 
 SPHERE2 = "sphere2"
 SO3 = "so3"
 KINDS = (SPHERE2, SO3)
+
+# A state this far off its manifold is a caller bug, not roundoff.
+ON_MANIFOLD_TOL = 1e-8
 
 
 def check_kind(kind):
@@ -50,6 +53,13 @@ def defect(kind, value):
         eye = np.eye(3)
         ortho = np.linalg.norm((gram - eye).reshape(gram.shape[:-2] + (9,)), axis=-1)
         return ortho + np.abs(np.linalg.det(value) - 1.0)
+
+
+def check_on_manifold(kind, value, what):
+    """Raise OffManifold, naming the value what, if a point is off the manifold."""
+    worst = np.max(defect(kind, value))
+    if not (worst <= ON_MANIFOLD_TOL):  # NaN fails this test too
+        raise OffManifold(f"{what} defect {worst:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
 
 
 def _quat_to_matrix(q):
@@ -94,27 +104,3 @@ def sample_uniform(kind, rng, size=None):
     else:
         out = _quat_to_matrix(_unit_gaussian(rng, n, 4))
     return out[0] if size is None else out
-
-
-def project(kind, value):
-    """Closest-point retraction onto the manifold.
-
-    S2: radial normalization.  SO(3): the orthogonal polar factor U V^T
-    from the SVD, with the sign of the last column of U flipped if needed
-    so the determinant is +1.  Used to quantify drift of the unconstrained
-    baseline; the geometric network never calls this.
-    """
-    check_kind(kind)
-    value = np.asarray(value, dtype=float)
-    if kind == SPHERE2:
-        norms = np.linalg.norm(value, axis=-1)
-        if np.any(norms == 0.0):
-            raise DegenerateInput("cannot project the zero vector onto the sphere")
-        return value / norms[..., None]
-    u, sing, vt = np.linalg.svd(value)
-    if np.any(sing[..., -1] <= 1e-12 * sing[..., 0]):
-        raise DegenerateInput("cannot project a singular matrix onto SO(3)")
-    sign = np.where(np.linalg.det(u @ vt) < 0, -1.0, 1.0)
-    u = u.copy()
-    u[..., :, -1] *= sign[..., None]
-    return u @ vt

@@ -18,22 +18,20 @@ kind.
 """
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig, OffManifold
+from .errors import InvalidConfig
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
 CLASSICAL = "classical"
 MODELS = (MANIFOLD, CLASSICAL)
-
-# Inputs this far off the manifold are a caller bug, not roundoff.
-INPUT_DEFECT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,13 @@ class NetworkConfig:
     def state_dim(self):
         return manifolds.ambient_dim(self.space)
 
+    @property
+    def state_shape(self):
+        """Shape of one input state: flat ambient for the baseline, else the point's."""
+        if self.model == CLASSICAL:
+            return (self.state_dim,)
+        return (3,) if self.space == manifolds.SPHERE2 else (3, 3)
+
 
 @dataclass
 class ManifoldLayerParams:
@@ -81,6 +86,10 @@ class ClassicalLayerParams:
     bias: np.ndarray   # (d,)
 
 
+_FIELDS = {cls: tuple(f.name for f in fields(cls))
+           for cls in (ManifoldLayerParams, ClassicalLayerParams)}
+
+
 @dataclass
 class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer.
@@ -95,7 +104,7 @@ class ForwardTrace:
     states: np.ndarray
     preacts: np.ndarray
     gates: np.ndarray
-    axials: np.ndarray | None
+    axials: np.ndarray | None = None
 
 
 def sigmoid(z):
@@ -106,11 +115,6 @@ def sigmoid(z):
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return float(out) if z.ndim == 0 else out
-
-
-def vec_activation(x):
-    """Componentwise sigmoid of a vector (or batch of vectors)."""
-    return sigmoid(np.asarray(x, dtype=float))
 
 
 def _as_batch(value, item_ndim):
@@ -151,7 +155,7 @@ def manifold_layer_forward(x, params, cfg):
     network_forward checks the network input once, and a rotation keeps a
     finite state on the manifold.
     """
-    x, single = _as_batch(x, 1 if cfg.space == manifolds.SPHERE2 else 2)
+    x, single = _as_batch(x, len(cfg.state_shape))
     z = manifold_preactivation(x, params, cfg.space)
     gate = sigmoid(z)
     f = params.gains * gate
@@ -166,11 +170,19 @@ def manifold_layer_forward(x, params, cfg):
     return out, (z, gate, omega)
 
 
-def classical_layer_forward(x, params, dt):
-    """One residual block on the ambient state; no manifold guarantee."""
-    x = np.asarray(x, dtype=float)
-    pre = x @ params.w_in.T + params.bias
-    return x + dt * (sigmoid(pre) @ params.w_out.T)
+def classical_layer_forward(x, params, cfg):
+    """One residual block x + dt * w_out @ sigma(w_in @ x + bias).
+
+    Returns (next state, (preact, gate)), like manifold_layer_forward; the
+    state is the flat ambient vector and nothing keeps it on the manifold.
+    """
+    x, single = _as_batch(x, 1)
+    pre = _matmul_rows(x, params.w_in.T) + params.bias
+    gate = sigmoid(pre)
+    out = x + cfg.dt * _matmul_rows(gate, params.w_out.T)
+    if single:
+        return out[0], (pre[0], gate[0])
+    return out, (pre, gate)
 
 
 def network_forward(x0, params, cfg):
@@ -179,101 +191,69 @@ def network_forward(x0, params, cfg):
     x0 is a single state or a batch; params is the per-layer list, whose
     length must equal cfg.layers.  Classical inputs are flattened ambient
     vectors of length cfg.state_dim.  Geometric inputs whose defect exceeds
-    INPUT_DEFECT_TOL, or is NaN, raise OffManifold; this is the only
-    manifold check on the way through the layers.
+    manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
+    only manifold check on the way through the layers.
     """
     if len(params) != cfg.layers:
         raise InvalidConfig(f"expected {cfg.layers} layer params, got {len(params)}")
+    x, single = _as_batch(x0, len(cfg.state_shape))
+    if x.shape[1:] != cfg.state_shape:
+        raise InvalidConfig(f"{cfg.model} states must have shape {cfg.state_shape}")
     if cfg.model == MANIFOLD:
-        return _manifold_forward(x0, params, cfg)
-    return _classical_forward(x0, params, cfg)
-
-
-def _manifold_forward(x0, params, cfg):
-    item_ndim = 1 if cfg.space == manifolds.SPHERE2 else 2
-    x, single = _as_batch(x0, item_ndim)
-    worst = np.max(manifolds.defect(cfg.space, x))
-    if not (worst <= INPUT_DEFECT_TOL):  # NaN fails this test too
-        raise OffManifold(f"network input defect {worst:.3e} exceeds {INPUT_DEFECT_TOL:.0e}")
-    p = x.shape[0]
-    m = len(cfg.generators.fields)
+        manifolds.check_on_manifold(cfg.space, x, "network input")
+        m = len(cfg.generators.fields)
+        layer_forward, recorded = manifold_layer_forward, ((m,), (m,), (3,))
+    else:
+        d = cfg.state_dim
+        layer_forward, recorded = classical_layer_forward, ((d,), (d,))
     states = np.empty((cfg.layers + 1,) + x.shape)
-    preacts = np.empty((cfg.layers, p, m))
-    gates = np.empty_like(preacts)
-    axials = np.empty((cfg.layers, p, 3))
+    records = [np.empty((cfg.layers, x.shape[0]) + shape) for shape in recorded]
     states[0] = x
     for n in range(cfg.layers):
-        x, (z, gate, omega) = manifold_layer_forward(x, params[n], cfg)
+        x, values = layer_forward(x, params[n], cfg)
         states[n + 1] = x
-        preacts[n] = z
-        gates[n] = gate
-        axials[n] = omega
-    trace = ForwardTrace(cfg, states, preacts, gates, axials)
-    return (x[0] if single else x), trace
+        for record, value in zip(records, values):
+            record[n] = value
+    return (x[0] if single else x), ForwardTrace(cfg, states, *records)
 
 
-def _classical_forward(x0, params, cfg):
-    x, single = _as_batch(x0, 1)
-    if x.shape[-1] != cfg.state_dim:
-        raise InvalidConfig(f"classical state must have length {cfg.state_dim}")
-    p, d = x.shape
-    states = np.empty((cfg.layers + 1, p, d))
-    preacts = np.empty((cfg.layers, p, d))
-    gates = np.empty_like(preacts)
-    states[0] = x
-    for n in range(cfg.layers):
-        pre = _matmul_rows(x, params[n].w_in.T) + params[n].bias
-        gate = sigmoid(pre)
-        x = x + cfg.dt * _matmul_rows(gate, params[n].w_out.T)
-        states[n + 1] = x
-        preacts[n] = pre
-        gates[n] = gate
-    trace = ForwardTrace(cfg, states, preacts, gates, None)
-    return (x[0] if single else x), trace
+def layer_schema(cfg):
+    """The stored layout of one layer: (dataclass, fields, init scale).
+
+    fields pairs each dataclass field name with its per-layer shape, in
+    stored order; parameter counting, initialization, flattening,
+    checkpoints and the regularizer gradient all follow it.  init_scale
+    multiplies the uniform(-0.5, 0.5) initial draw: 1/sqrt(d) for the
+    baseline, 1 for the geometric net.
+    """
+    if cfg.model == MANIFOLD:
+        m = len(cfg.generators.fields)
+        cls, shapes, scale = ManifoldLayerParams, ((m,), (m,) + cfg.state_shape, (m,)), 1.0
+    else:
+        d = cfg.state_dim
+        cls, shapes, scale = ClassicalLayerParams, ((d, d), (d, d), (d,)), 1.0 / np.sqrt(d)
+    return cls, tuple(zip(_FIELDS[cls], shapes)), scale
 
 
 def param_count(cfg):
     """Number of stored scalars: 10M / 33M geometric, 21M / 171M baseline."""
-    if cfg.model == MANIFOLD:
-        m = len(cfg.generators.fields)
-        per_weight = 3 if cfg.space == manifolds.SPHERE2 else 9
-        return cfg.layers * m * (per_weight + 2)
-    d = cfg.state_dim
-    return cfg.layers * (2 * d * d + d)
+    return cfg.layers * sum(math.prod(shape) for _, shape in layer_schema(cfg)[1])
 
 
 def init_params(cfg, rng):
-    """Fresh layer parameters, uniform(-0.5, 0.5); baseline scaled by 1/sqrt(d)."""
-    out = []
-    for _ in range(cfg.layers):
-        if cfg.model == MANIFOLD:
-            m = len(cfg.generators.fields)
-            wshape = (m, 3) if cfg.space == manifolds.SPHERE2 else (m, 3, 3)
-            out.append(ManifoldLayerParams(
-                gains=rng.uniform(-0.5, 0.5, m),
-                weights=rng.uniform(-0.5, 0.5, wshape),
-                biases=rng.uniform(-0.5, 0.5, m),
-            ))
-        else:
-            d = cfg.state_dim
-            scale = 1.0 / np.sqrt(d)
-            out.append(ClassicalLayerParams(
-                w_out=rng.uniform(-0.5, 0.5, (d, d)) * scale,
-                w_in=rng.uniform(-0.5, 0.5, (d, d)) * scale,
-                bias=rng.uniform(-0.5, 0.5, d) * scale,
-            ))
-    return out
+    """Fresh layer parameters, uniform(-0.5, 0.5) times the schema's scale.
+
+    One draw fills every layer in stored order, which gives the same
+    numbers as drawing field by field; the arrays are views into it.
+    """
+    flat = rng.uniform(-0.5, 0.5, param_count(cfg)) * layer_schema(cfg)[2]
+    return unflatten_params(flat, cfg)
 
 
 def flatten_params(params):
     """All scalars as one 1-d vector, layer by layer in field order."""
-    chunks = []
-    for p in params:
-        if isinstance(p, ManifoldLayerParams):
-            chunks.extend([p.gains.ravel(), p.weights.ravel(), p.biases.ravel()])
-        else:
-            chunks.extend([p.w_out.ravel(), p.w_in.ravel(), p.bias.ravel()])
-    return np.concatenate(chunks)
+    return np.concatenate([getattr(p, name).ravel()
+                           for p in params for name in _FIELDS[type(p)]])
 
 
 def unflatten_params(vec, cfg):
@@ -284,48 +264,20 @@ def unflatten_params(vec, cfg):
     vec = np.asarray(vec, dtype=float)
     if vec.size != param_count(cfg):
         raise InvalidConfig(f"expected {param_count(cfg)} scalars, got {vec.size}")
-    out = []
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        chunk = vec[pos:pos + n].reshape(shape)
-        pos += n
-        return chunk
-
-    for _ in range(cfg.layers):
-        if cfg.model == MANIFOLD:
-            m = len(cfg.generators.fields)
-            wshape = (m, 3) if cfg.space == manifolds.SPHERE2 else (m, 3, 3)
-            out.append(ManifoldLayerParams(take(m), take(wshape), take(m)))
-        else:
-            d = cfg.state_dim
-            out.append(ClassicalLayerParams(take((d, d)), take((d, d)), take(d)))
-    return out
+    cls, schema, _ = layer_schema(cfg)
+    ends = np.cumsum([math.prod(shape) for _, shape in schema])[:-1]
+    return [cls(*(chunk.reshape(shape) for chunk, (_, shape) in zip(np.split(row, ends), schema)))
+            for row in vec.reshape(cfg.layers, -1)]
 
 
 def save_checkpoint(path, cfg, params, meta=None):
     """Write architecture and parameters as JSON; floats round-trip bitwise."""
-    layers = []
-    for p in params:
-        if isinstance(p, ManifoldLayerParams):
-            layers.append({
-                "gains": p.gains.tolist(),
-                "weights": p.weights.tolist(),
-                "biases": p.biases.tolist(),
-            })
-        else:
-            layers.append({
-                "w_out": p.w_out.tolist(),
-                "w_in": p.w_in.tolist(),
-                "bias": p.bias.tolist(),
-            })
+    schema = layer_schema(cfg)[1]
     doc = {
         "model": cfg.model,
         "space": cfg.space,
         "layers": cfg.layers,
-        "params": layers,
+        "params": [{name: getattr(p, name).tolist() for name, _ in schema} for p in params],
         "meta": meta or {},
     }
     if cfg.model == MANIFOLD:
@@ -338,22 +290,24 @@ def save_checkpoint(path, cfg, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as (config, params, meta)."""
+    """Read a checkpoint back as (config, params, meta).
+
+    Raises InvalidConfig unless there is one entry per layer and every
+    entry holds each field of the layer schema, at its shape, all finite.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     cfg = NetworkConfig(doc["model"], doc["space"], int(doc["layers"]))
+    if len(doc["params"]) != cfg.layers:
+        raise InvalidConfig(f"checkpoint has {len(doc['params'])} layer entries "
+                            f"for {cfg.layers} layers")
+    cls, schema, _ = layer_schema(cfg)
     params = []
-    for entry in doc["params"]:
-        if cfg.model == MANIFOLD:
-            params.append(ManifoldLayerParams(
-                gains=np.asarray(entry["gains"], dtype=float),
-                weights=np.asarray(entry["weights"], dtype=float),
-                biases=np.asarray(entry["biases"], dtype=float),
-            ))
-        else:
-            params.append(ClassicalLayerParams(
-                w_out=np.asarray(entry["w_out"], dtype=float),
-                w_in=np.asarray(entry["w_in"], dtype=float),
-                bias=np.asarray(entry["bias"], dtype=float),
-            ))
+    for n, entry in enumerate(doc["params"]):
+        values = [np.asarray(entry.get(name, ()), dtype=float) for name, _ in schema]
+        for value, (name, shape) in zip(values, schema):
+            if value.shape != shape or not np.all(np.isfinite(value)):
+                raise InvalidConfig(f"checkpoint layer {n}: {name!r} must be finite "
+                                    f"with shape {shape}, got shape {value.shape}")
+        params.append(cls(*values))
     return cfg, params, doc.get("meta", {})

@@ -1,6 +1,6 @@
-"""Loss, heavy-ball SGD with a step schedule, and the epoch loop.
+"""Heavy-ball SGD with a step schedule, and the epoch loop.
 
-Training minimizes
+Training minimizes grad.objective,
 
     L = (1/P) sum_j ||x_M(x0_j) - y_j||^2 + (lam dt / 2) sum_N ||Theta_N||^2
 
@@ -13,9 +13,10 @@ DivergenceDetected carrying everything recorded so far.
 """
 
 import csv
+import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .errors import DivergenceDetected, InvalidConfig
 QUICK_EPOCHS = 2000
 
 METRICS_COLUMNS = ("epoch", "lr", "train_loss", "test_loss", "max_defect")
+
+
+def _is(kind, value):
+    """isinstance for a numbers ABC, with bool (an int subclass) excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        wrong = [name for name in ("lr0", "momentum", "decay_factor", "lam")
+                 if not _is(numbers.Real, getattr(self, name))]
+        wrong += [name for name in ("epochs", "seed")
+                  if not _is(numbers.Integral, getattr(self, name))]
+        if not (self.batch_size is None or _is(numbers.Integral, self.batch_size)):
+            wrong.append("batch_size")
+        if not (isinstance(self.decay_epochs, (list, tuple))
+                and all(_is(numbers.Integral, e) for e in self.decay_epochs)):
+            wrong.append("decay_epochs")
+        if wrong:
+            raise InvalidConfig(f"wrongly typed config values: {wrong}")
         if self.lr0 <= 0:
             raise InvalidConfig("lr0 must be positive")
         if not 0.0 < self.decay_factor < 1.0:
@@ -55,13 +72,7 @@ class TrainConfig:
                            tuple(sorted(int(e) for e in self.decay_epochs)))
 
     def to_dict(self):
-        return {
-            "lr0": self.lr0, "momentum": self.momentum,
-            "decay_epochs": list(self.decay_epochs),
-            "decay_factor": self.decay_factor, "lam": self.lam,
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "decay_epochs": list(self.decay_epochs)}
 
 
 def config_from_dict(doc, **overrides):
@@ -71,8 +82,6 @@ def config_from_dict(doc, **overrides):
     extra = set(known) - set(TrainConfig.__dataclass_fields__)
     if extra:
         raise InvalidConfig(f"unknown config keys: {sorted(extra)}")
-    if "decay_epochs" in known:
-        known["decay_epochs"] = tuple(known["decay_epochs"])
     return TrainConfig(**known)
 
 
@@ -107,17 +116,6 @@ class RunMetrics:
                     repr(float(self.max_defect[i])),
                 ])
         os.replace(tmp, path)
-
-
-def loss(preds, targets, params, lam, dt):
-    """Objective value: mean squared deviation plus (lam dt / 2) ||Theta||^2."""
-    preds = np.asarray(preds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if preds.shape != targets.shape or preds.shape[0] < 1:
-        raise InvalidConfig("preds and targets must be matching nonempty batches")
-    p = preds.shape[0]
-    r = (preds - targets).reshape(p, -1)
-    return float(np.sum(r * r)) / p + 0.5 * lam * dt * grad.regularizer_norm(params)
 
 
 def lr_schedule(epoch, cfg):
@@ -200,7 +198,7 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     train_y = _ambient(train_ds.targets, net_cfg.model)
     test_y = _ambient(test_ds.targets, net_cfg.model)
     all_x = np.concatenate([train_x, _ambient(test_ds.inputs, net_cfg.model)])
-    p_train, p_test = train_x.shape[0], test_y.shape[0]
+    p_train = train_x.shape[0]
 
     series = {name: [] for name in METRICS_COLUMNS}
     start = time.perf_counter()
@@ -224,11 +222,9 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             lr = lr_schedule(epoch, cfg)
 
             all_out, trace = network.network_forward(all_x, params, net_cfg)
-            r = all_out[:p_train] - train_y
-            data_term = float(np.sum(r * r)) / p_train
-            train_loss = data_term + 0.5 * cfg.lam * net_cfg.dt * grad.regularizer_norm(params)
-            rt = (all_out[p_train:] - test_y).reshape(p_test, -1)
-            test_loss = float(np.sum(rt * rt)) / p_test
+            train_loss, r = grad.objective(all_out[:p_train], train_y, params,
+                                           cfg.lam, net_cfg.dt)
+            test_loss = grad.objective(all_out[p_train:], test_y, (), 0.0, net_cfg.dt)[0]
 
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise DivergenceDetected(

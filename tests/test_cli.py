@@ -140,6 +140,18 @@ def test_train_rejects_unknown_config_keys(tmp_path):
     assert code == 1
 
 
+def test_train_rejects_wrongly_typed_config_values(tmp_path, capsys):
+    data_dir = make_data_dir(tmp_path)
+    for i, bad in enumerate(({"epochs": "10"}, {"lr0": "1"}, {"epochs": 2.5},
+                             {"batch_size": 2.5}, {"decay_epochs": 500})):
+        config = write_json(tmp_path / f"train{i}.json", bad)
+        code = cli.main(["train", "--model", "classical", "--experiment", "exp1",
+                         "--layers", "1", "--data", str(data_dir),
+                         "--config", config, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_requires_an_experiment_or_spec(tmp_path, capsys):

@@ -14,39 +14,48 @@ E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 
 
+def velocity(ode, x):
+    """The field the integrator follows, skew(axial_rule(x)) applied to x."""
+    x = np.asarray(x, dtype=float)
+    w = skew_from_axial(ode.axial_rule(x))
+    if ode.kind == manifolds.SPHERE2:
+        return np.einsum("...ij,...j->...i", w, x)
+    return w @ x
+
+
 # --- right-hand sides -------------------------------------------------------
 
 def test_exp1_field_at_the_poles_of_its_dynamics():
     # (1,0,0) has zero rotation coordinates, so it is an equilibrium
-    assert np.array_equal(data.exp1_field(E1), np.zeros(3))
+    assert np.array_equal(velocity(data.EXP1, E1), np.zeros(3))
     # (0,1,0) sees a unit rotation about z, velocity -e1
-    assert np.allclose(data.exp1_field(E2), [-1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(velocity(data.EXP1, E2), [-1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_exp1_field_is_tangent_to_the_sphere():
     rng = np.random.default_rng(0)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1000)
-    radial = np.einsum("pi,pi->p", data.exp1_field(x), x)
+    radial = np.einsum("pi,pi->p", velocity(data.EXP1, x), x)
     assert np.max(np.abs(radial)) <= 1e-15
 
 
 def test_exp2_field_at_the_identity():
     # Tr(I I) + 3 = 6, so the velocity is six times the mixing skew
     expected = 6.0 * skew_from_axial(np.ones(3))
-    assert np.allclose(data.exp2_field(np.eye(3)), expected, atol=1e-15)
+    assert np.allclose(velocity(data.EXP2, np.eye(3)), expected, atol=1e-15)
 
 
 def test_exp2_coefficient_at_a_half_turn():
     # R = diag(-1,-1,1) squares to the identity, so the factor is 6 again
     r = expm_skew3(np.array([0.0, 0.0, math.pi]))
     expected = 6.0 * skew_from_axial(np.ones(3)) @ r
-    assert np.allclose(data.exp2_field(r), expected, atol=1e-13)
+    assert np.allclose(velocity(data.EXP2, r), expected, atol=1e-13)
 
 
 def test_exp2_field_is_tangent_to_the_rotation_group():
     rng = np.random.default_rng(1)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 200)
-    f = data.exp2_field(x)
+    f = velocity(data.EXP2, x)
     sym = np.swapaxes(x, -1, -2) @ f + np.swapaxes(f, -1, -2) @ x
     assert np.max(np.abs(sym)) <= 1e-13
 

@@ -144,7 +144,9 @@ def test_classical_vjp_zero_output_weight_passes_upstream_through():
         w_out=np.zeros((3, 3)), w_in=rng.standard_normal((3, 3)),
         bias=rng.standard_normal(3))
     v = rng.standard_normal(3)
-    x_cot, g = grad.classical_layer_vjp(rng.standard_normal(3), params, 0.5, v)
+    x = rng.standard_normal(3)
+    gate = network.sigmoid(params.w_in @ x + params.bias)
+    x_cot, g = grad.classical_layer_vjp(x, gate, params, 0.5, v)
     assert np.array_equal(x_cot, v)
     assert np.array_equal(g.w_in, np.zeros((3, 3)))
     assert np.array_equal(g.bias, np.zeros(3))
@@ -156,9 +158,10 @@ def test_classical_vjp_scalar_case_matches_hand_chain_rule():
     a, w, b, x, v, dt = 1.7, -0.6, 0.25, 0.9, 1.3, 0.5
     params = network.ClassicalLayerParams(
         w_out=np.array([[a]]), w_in=np.array([[w]]), bias=np.array([b]))
-    x_cot, g = grad.classical_layer_vjp(np.array([x]), params, dt, np.array([v]))
     z = w * x + b
     s = network.sigmoid(z)
+    x_cot, g = grad.classical_layer_vjp(np.array([x]), np.array([s]), params, dt,
+                                        np.array([v]))
     ds = s * (1.0 - s)
     assert np.isclose(g.w_out[0, 0], dt * s * v, rtol=1e-15)
     assert np.isclose(g.w_in[0, 0], dt * a * ds * x * v, rtol=1e-14)

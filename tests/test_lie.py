@@ -221,9 +221,3 @@ def test_generator_set_caches_matrices_and_axials():
 def test_generator_set_must_be_nonempty():
     with pytest.raises(InvalidConfig):
         lie.GeneratorSet((), manifolds.SPHERE2)
-
-
-def test_generator_lookup_by_name():
-    assert lie.generator_by_name("rot_z") is lie.ROT_Z
-    with pytest.raises(InvalidConfig):
-        lie.generator_by_name("rot_w")

@@ -6,8 +6,7 @@ import scipy.linalg
 
 from georesnet.grad import _sens_coeffs
 from georesnet.linalg import (
-    SMALL_ANGLE, _sinc_coeffs, axial_from_skew, expm_dense, expm_skew3,
-    frobenius_inner, skew_from_axial,
+    SMALL_ANGLE, _sinc_coeffs, axial_from_skew, expm_dense, expm_skew3, skew_from_axial,
 )
 
 BZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -191,30 +190,3 @@ def test_dense_exp_agrees_with_scipy_on_general_matrices():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3))
     assert np.allclose(expm_dense(a), scipy.linalg.expm(a), atol=0, rtol=1e-12)
-
-
-# --- frobenius_inner --------------------------------------------------------
-
-def test_frobenius_identity_with_itself():
-    assert frobenius_inner(np.eye(3), np.eye(3)) == 3.0
-
-
-def test_frobenius_of_generators():
-    assert frobenius_inner(BZ, BZ) == 2.0
-    assert frobenius_inner(BZ, BY) == 0.0
-    assert frobenius_inner(BZ, BX) == 0.0
-
-
-def test_frobenius_symmetric_and_bilinear():
-    rng = np.random.default_rng(8)
-    a, b, c = rng.standard_normal((3, 3, 3))
-    assert np.isclose(frobenius_inner(a, b), frobenius_inner(b, a), rtol=1e-15)
-    assert np.isclose(frobenius_inner(2.0 * a + c, b),
-                      2.0 * frobenius_inner(a, b) + frobenius_inner(c, b),
-                      rtol=1e-12)
-
-
-def test_frobenius_batched():
-    a = np.stack([np.eye(3), 2.0 * np.eye(3)])
-    out = frobenius_inner(a, a)
-    assert np.array_equal(out, [3.0, 12.0])

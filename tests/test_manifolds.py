@@ -1,10 +1,10 @@
-"""Sphere and rotation-group representations: sampling, defect, projection."""
+"""Sphere and rotation-group representations: sampling and defect."""
 
 import numpy as np
 import pytest
 
 from georesnet import manifolds
-from georesnet.errors import DegenerateInput, InvalidConfig
+from georesnet.errors import InvalidConfig
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -76,71 +76,3 @@ def test_equal_seeds_give_bitwise_equal_streams():
     a = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(42), 50)
     b = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(42), 50)
     assert np.array_equal(a, b)
-
-
-# --- project ----------------------------------------------------------------
-
-def test_project_rescales_vectors():
-    assert np.array_equal(manifolds.project(manifolds.SPHERE2, [2.0, 0.0, 0.0]), E1)
-
-
-def test_project_zero_vector_rejected():
-    with pytest.raises(DegenerateInput):
-        manifolds.project(manifolds.SPHERE2, np.zeros(3))
-
-
-def test_project_singular_matrix_rejected():
-    with pytest.raises(DegenerateInput):
-        manifolds.project(manifolds.SO3, np.zeros((3, 3)))
-
-
-def test_project_near_identity_stays_near_identity():
-    rng = np.random.default_rng(4)
-    perturbed = np.eye(3) + 1e-3 * rng.standard_normal((3, 3))
-    r = manifolds.project(manifolds.SO3, perturbed)
-    assert manifolds.defect(manifolds.SO3, r) <= 1e-12
-    # polar projection is 1-Lipschitz near the group
-    assert np.linalg.norm(r - np.eye(3)) <= 2e-3
-
-
-def test_project_is_idempotent():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((20, 3))
-    once = manifolds.project(manifolds.SPHERE2, v)
-    assert np.max(np.abs(manifolds.project(manifolds.SPHERE2, once) - once)) <= 1e-13
-    m = rng.standard_normal((20, 3, 3))
-    ronce = manifolds.project(manifolds.SO3, m)
-    assert np.max(np.abs(manifolds.project(manifolds.SO3, ronce) - ronce)) <= 1e-13
-
-
-def test_project_fixes_on_manifold_points():
-    rng = np.random.default_rng(6)
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
-    r = manifolds.sample_uniform(manifolds.SO3, rng)
-    assert np.max(np.abs(manifolds.project(manifolds.SPHERE2, x) - x)) <= 1e-14
-    assert np.max(np.abs(manifolds.project(manifolds.SO3, r) - r)) <= 1e-14
-
-
-def test_project_output_defect_bound():
-    rng = np.random.default_rng(7)
-    for value in rng.standard_normal((50, 3, 3)):
-        r = manifolds.project(manifolds.SO3, value)
-        assert manifolds.defect(manifolds.SO3, r) <= 1e-12
-
-
-def test_project_corrects_orientation():
-    # det of the input is negative; the projection must land on the
-    # proper rotations, not just the orthogonal group
-    bad = np.diag([1.0, 1.0, -1.0])
-    r = manifolds.project(manifolds.SO3, bad)
-    assert manifolds.defect(manifolds.SO3, r) <= 1e-12
-    assert np.linalg.det(r) > 0.0
-
-
-def test_project_batched_matches_loop():
-    rng = np.random.default_rng(8)
-    vals = rng.standard_normal((10, 3, 3))
-    batched = manifolds.project(manifolds.SO3, vals)
-    for i in range(10):
-        assert np.allclose(batched[i], manifolds.project(manifolds.SO3, vals[i]),
-                           atol=1e-14)

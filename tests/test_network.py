@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from georesnet import manifolds, network
+from georesnet import grad, manifolds, network
 from georesnet.errors import InvalidConfig, OffManifold
 from georesnet.linalg import expm_skew3
 
@@ -59,16 +59,6 @@ def test_sigmoid_matches_the_two_branch_form_bitwise():
     scalar = network.sigmoid(-3.0)
     assert isinstance(scalar, float)
     assert scalar == np.exp(-3.0) / (1.0 + np.exp(-3.0))
-
-
-def test_vec_activation_componentwise():
-    assert np.array_equal(network.vec_activation(np.zeros(5)), np.full(5, 0.5))
-    assert np.max(np.abs(network.vec_activation(np.full(4, 50.0)) - 1.0)) <= 1e-15
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(6)
-    perm = rng.permutation(6)
-    assert np.array_equal(network.vec_activation(x)[perm],
-                          network.vec_activation(x[perm]))
 
 
 # --- config -----------------------------------------------------------------
@@ -133,21 +123,41 @@ def test_layer_rejects_non_finite_input():
                 network.network_forward(x, params, cfg)
 
 
+def input_cotangent(trace, params, upstream):
+    """Cotangent of the network input: the layer VJPs chained over a trace."""
+    cfg = trace.config
+    for n in reversed(range(cfg.layers)):
+        if cfg.model == network.MANIFOLD:
+            upstream, _ = grad.manifold_layer_vjp(
+                trace.states[n], trace.preacts[n], trace.gates[n], trace.axials[n],
+                params[n], cfg, upstream)
+        else:
+            upstream, _ = grad.classical_layer_vjp(
+                trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)
+    return upstream
+
+
 def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
     # train_loop runs train and test inputs through one forward pass and
-    # relies on every row coming out exactly as it would alone
+    # relies on every row coming out exactly as it would alone; the
+    # backward keeps rows apart the same way
     rng = np.random.default_rng(5)
     for cfg in (sphere_cfg(3), so3_cfg(3), sphere_cfg(2, network.CLASSICAL),
                 so3_cfg(2, network.CLASSICAL)):
         params = network.init_params(cfg, rng)
-        for p in (1, 3, 100):
+        # a lone row takes a different BLAS path; several draws give a
+        # last-bit difference there a fair chance to show
+        for p in (1,) * 8 + (3, 100):
             a = manifolds.sample_uniform(cfg.space, rng, p)
             b = manifolds.sample_uniform(cfg.space, rng, p + 1)
             if cfg.model == network.CLASSICAL:
                 a, b = a.reshape(p, -1), b.reshape(p + 1, -1)
             out, trace = network.network_forward(np.concatenate([a, b]), params, cfg)
+            v = rng.standard_normal(out.shape)
+            x_cot = input_cotangent(trace, params, v)
             for part, rows in ((a, slice(0, p)), (b, slice(p, None))):
                 alone, alone_trace = network.network_forward(part, params, cfg)
+                assert np.array_equal(x_cot[rows], input_cotangent(alone_trace, params, v[rows]))
                 assert np.array_equal(out[rows], alone)
                 assert np.array_equal(trace.states[:, rows], alone_trace.states)
                 assert np.array_equal(trace.preacts[:, rows], alone_trace.preacts)
@@ -198,7 +208,8 @@ def test_classical_zero_output_weight_is_identity():
         w_out=np.zeros((3, 3)), w_in=rng.standard_normal((3, 3)),
         bias=rng.standard_normal(3))
     x = rng.standard_normal(3)
-    assert np.array_equal(network.classical_layer_forward(x, params, 0.25), x)
+    out, _ = network.classical_layer_forward(x, params, sphere_cfg(4, network.CLASSICAL))
+    assert np.array_equal(out, x)
 
 
 def test_classical_layer_closed_form_at_zero_preactivation():
@@ -209,8 +220,10 @@ def test_classical_layer_closed_form_at_zero_preactivation():
     x = rng.standard_normal(3)
     # sigmoid(0) = 0.5 componentwise, so the update is x + dt a (0.5 1)
     expected = x + 1.0 * (a @ np.full(3, 0.5))
-    assert np.allclose(network.classical_layer_forward(x, params, 1.0),
-                       expected, atol=1e-15)
+    out, (pre, gate) = network.classical_layer_forward(
+        x, params, sphere_cfg(1, network.CLASSICAL))
+    assert np.allclose(out, expected, atol=1e-15)
+    assert np.array_equal(pre, np.zeros(3)) and np.array_equal(gate, np.full(3, 0.5))
 
 
 def test_classical_layer_drifts_off_the_sphere():
@@ -387,6 +400,39 @@ def test_checkpoint_records_generator_names(tmp_path):
     network.save_checkpoint(path, cfg, params)
     doc = json.loads(path.read_text())
     assert doc["generators"] == ["rot_z", "rot_y", "rot_x"]
+
+
+def saved_checkpoint(tmp_path, cfg):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, cfg, network.init_params(cfg, np.random.default_rng(22)))
+    return path, json.loads(path.read_text())
+
+
+def test_load_checkpoint_rejects_a_layer_count_mismatch(tmp_path):
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(2))
+    doc["params"].append(doc["params"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidConfig):
+        network.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_missing_field_or_a_wrong_shape(tmp_path):
+    for edit in (lambda layer: layer.pop("biases"), lambda layer: layer.update(gains=[0.5]),
+                 lambda layer: layer.update(weights=layer["weights"][:2])):
+        path, doc = saved_checkpoint(tmp_path, so3_cfg(2))
+        edit(doc["params"][1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig):
+            network.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_non_finite_values(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        path, doc = saved_checkpoint(tmp_path, so3_cfg(1, network.CLASSICAL))
+        doc["params"][0]["bias"][4] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig):
+            network.load_checkpoint(path)
 
 
 def test_init_is_seed_deterministic():

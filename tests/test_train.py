@@ -25,33 +25,37 @@ GAIN_PARAMS = [network.ManifoldLayerParams(
 
 def test_loss_is_zero_on_a_perfect_unregularized_fit():
     preds = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert train.loss(preds, preds, GAIN_PARAMS, lam=0.0, dt=0.5) == 0.0
+    value, r = grad.objective(preds, preds, GAIN_PARAMS, lam=0.0, dt=0.5)
+    assert value == 0.0
+    assert np.array_equal(r, np.zeros((2, 3)))
 
 
 def test_loss_of_a_single_pair_is_its_squared_distance():
     preds = np.array([[1.0, 0.0, 0.0]])
     targets = np.array([[0.0, 1.0, 0.0]])
-    assert train.loss(preds, targets, [], lam=0.0, dt=1.0) == 2.0
+    value, r = grad.objective(preds, targets, [], lam=0.0, dt=1.0)
+    assert value == 2.0
+    assert np.array_equal(r, preds - targets)
 
 
 def test_loss_regularizer_term():
     # ||Theta||^2 = 4, lam = 1, dt = 0.5: penalty is 1 * 0.5 / 2 * 4 = 1
     preds = np.array([[0.0, 0.0, 1.0]])
-    assert train.loss(preds, preds, GAIN_PARAMS, lam=1.0, dt=0.5) == 1.0
+    assert grad.objective(preds, preds, GAIN_PARAMS, lam=1.0, dt=0.5)[0] == 1.0
 
 
 def test_loss_averages_over_the_batch():
     preds = np.zeros((4, 3))
     targets = np.zeros((4, 3))
     targets[0, 0] = 2.0  # one bad pair out of four
-    assert train.loss(preds, targets, [], lam=0.0, dt=1.0) == 1.0
+    assert grad.objective(preds, targets, [], lam=0.0, dt=1.0)[0] == 1.0
 
 
 def test_loss_rejects_mismatched_batches():
     with pytest.raises(InvalidConfig):
-        train.loss(np.zeros((2, 3)), np.zeros((3, 3)), [], 0.0, 1.0)
+        grad.objective(np.zeros((2, 3)), np.zeros((3, 3)), [], 0.0, 1.0)
     with pytest.raises(InvalidConfig):
-        train.loss(np.zeros((0, 3)), np.zeros((0, 3)), [], 0.0, 1.0)
+        grad.objective(np.zeros((0, 3)), np.zeros((0, 3)), [], 0.0, 1.0)
 
 
 # --- schedule and optimizer -------------------------------------------------
@@ -115,6 +119,14 @@ def test_train_config_sorts_decay_epochs():
     assert cfg.decay_epochs == (500, 2000, 6000)
 
 
+def test_config_rejects_wrongly_typed_values():
+    for bad in ({"epochs": "10"}, {"lr0": "1"}, {"epochs": 2.5}, {"batch_size": 2.5},
+                {"decay_epochs": 500}, {"decay_epochs": [500, "1000"]}, {"seed": True}):
+        with pytest.raises(InvalidConfig):
+            train.config_from_dict(bad)
+    assert train.config_from_dict({"lr0": 1, "epochs": np.int64(3)}).epochs == 3
+
+
 def test_config_from_dict_round_trips_and_rejects_unknowns():
     cfg = train.TrainConfig(lr0=2.0, epochs=17)
     assert train.config_from_dict(cfg.to_dict()) == cfg
@@ -151,12 +163,13 @@ def test_first_row_describes_the_untouched_initialization():
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
     params = network.init_params(net_cfg, np.random.default_rng(5))
     out, _ = network.network_forward(train_ds.inputs, params, net_cfg)
-    expected = train.loss(out, train_ds.targets, params, cfg.lam, net_cfg.dt)
+    expected = grad.objective(out, train_ds.targets, params, cfg.lam, net_cfg.dt)[0]
     assert metrics.train_loss[0] == expected
     # the test rows ride along in the train pass; they must come out as
     # they would from a forward of their own
     test_out, _ = network.network_forward(test_ds.inputs, params, net_cfg)
-    assert metrics.test_loss[0] == train.loss(test_out, test_ds.targets, [], 0.0, net_cfg.dt)
+    assert metrics.test_loss[0] == grad.objective(test_out, test_ds.targets, [], 0.0,
+                                                  net_cfg.dt)[0]
     worst = max(np.max(manifolds.defect(net_cfg.space, out)),
                 np.max(manifolds.defect(net_cfg.space, test_out)))
     assert metrics.max_defect[0] == worst
