@@ -17,17 +17,11 @@ import time
 import numpy as np
 
 from . import data, grad, lie, linalg, manifolds, network, sweep, train
-from .errors import DivergenceDetected, GeoResNetError
+from .errors import DivergenceDetected, GeoResNetError, read_json_object
 
 
 def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise GeoResNetError("config file must hold a JSON object")
-    return doc
+    return {} if path is None else read_json_object(path)
 
 
 def _write_json(path, doc):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifolds
-from .errors import InvalidConfig
+from .errors import InvalidConfig, read_json_object
 from .linalg import expm_skew3
 
 DEFAULT_STEPS = 2 ** 14
@@ -142,16 +142,40 @@ def save_dataset(ds, path):
     os.replace(tmp, path)
 
 
+def _pair_array(doc, name, shape, path):
+    try:
+        value = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError):  # ragged nesting or non-numbers
+        raise InvalidConfig(f"dataset {path}: {name} is not a numeric array") from None
+    if value.shape[1:] != shape or not len(value):
+        raise InvalidConfig(f"dataset {path}: {name} must have shape (n,) + {shape}, "
+                            f"got {value.shape}")
+    return value
+
+
 def load_dataset(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    manifolds.check_kind(doc["kind"])
-    return Dataset(
-        kind=doc["kind"],
-        inputs=np.asarray(doc["inputs"], dtype=float),
-        targets=np.asarray(doc["targets"], dtype=float),
-        metadata=doc["metadata"],
-    )
+    """Read a dataset written by save_dataset.
+
+    Raises InvalidConfig unless the file holds kind, metadata, inputs and
+    targets, with as many targets as inputs, each of the kind's point shape
+    and finite, and OffManifold if a point is off the manifold.
+    """
+    doc = read_json_object(path)
+    missing = [k for k in ("kind", "metadata", "inputs", "targets") if k not in doc]
+    if missing:
+        raise InvalidConfig(f"dataset {path} lacks {missing}")
+    kind = manifolds.check_kind(doc["kind"])
+    shape = manifolds.point_shape(kind)
+    inputs = _pair_array(doc, "inputs", shape, path)
+    targets = _pair_array(doc, "targets", shape, path)
+    if len(inputs) != len(targets):
+        raise InvalidConfig(f"dataset {path} has {len(inputs)} inputs "
+                            f"but {len(targets)} targets")
+    points = np.concatenate([inputs, targets])
+    if not np.all(np.isfinite(points)):
+        raise InvalidConfig(f"dataset {path} holds non-finite values")
+    manifolds.check_on_manifold(kind, points, f"dataset {path}")
+    return Dataset(kind=kind, inputs=inputs, targets=targets, metadata=doc["metadata"])
 
 
 def _component_names(kind, prefix):

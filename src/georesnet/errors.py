@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+turns a malformed input file into one of them."""
+
+import json
 
 
 class GeoResNetError(Exception):
@@ -11,6 +14,23 @@ class OffManifold(GeoResNetError):
 
 class InvalidConfig(GeoResNetError):
     """A configuration object violates its own invariants."""
+
+
+def read_json_object(path):
+    """The JSON object a file holds; raises InvalidConfig if it holds none.
+
+    Every file the package reads (configs, sweep specs, datasets,
+    checkpoints) is a JSON object, so text that does not parse, or parses
+    to another type, is reported the same way for all of them.
+    """
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InvalidConfig(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{path} must hold a JSON object")
+    return doc
 
 
 class DivergenceDetected(GeoResNetError):

@@ -28,23 +28,29 @@ import numpy as np
 
 from . import manifolds, network
 from .errors import InvalidConfig
-from .linalg import _sinc_coeffs, axial_norm, by_angle, skew_from_axial
+from .linalg import _sinc_series, axial_norm, by_angle, skew_from_axial
 
 
-def _sens_series(t):
+def _coeff_series(t):
     t2 = t ** 2
-    return (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)),
-            -1.0 / 12.0 + t2 * (1.0 / 180.0 + t2 * (-1.0 / 6720.0 + t2 / 453600.0)))
+    return _sinc_series(t) + (
+        -1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)),
+        -1.0 / 12.0 + t2 * (1.0 / 180.0 + t2 * (-1.0 / 6720.0 + t2 / 453600.0)))
 
 
-def _sens_closed(t):
+def _coeff_closed(t):
     st, ct = np.sin(t), np.cos(t)
-    return (t * ct - st) / t ** 3, (t * st - 2.0 * (1.0 - ct)) / t ** 4
+    return (st / t, (1.0 - ct) / t ** 2,
+            (t * ct - st) / t ** 3, (t * st - 2.0 * (1.0 - ct)) / t ** 4)
 
 
-def _sens_coeffs(theta):
-    """u = s'(t)/t and v = c'(t)/t with the small-angle series branch."""
-    return by_angle(theta, _sens_series, _sens_closed)
+def _rotation_coeffs(theta):
+    """(s, c, u, v) with the small-angle series branch, in one by_angle pass.
+
+    s and c are bitwise linalg._sinc_coeffs; u = s'(t)/t and v = c'(t)/t
+    share its sin and cos evaluations.
+    """
+    return by_angle(theta, _coeff_series, _coeff_closed)
 
 
 def _axis_pairing(g):
@@ -64,11 +70,9 @@ def rotation_cotangent(g, omega):
       <G, E_k W + W E_k> is the axis pairing of G W^T + W^T G,
     and the W and W^2 terms contribute scalars times omega.
     """
-    theta = axial_norm(omega)
-    s, c = _sinc_coeffs(theta)
-    u, v = _sens_coeffs(theta)
+    s, c, u, v = _rotation_coeffs(axial_norm(omega))
     w = skew_from_axial(omega)
-    wt = np.swapaxes(w, -1, -2)
+    wt = skew_from_axial(-omega)  # bitwise the transpose of w, but contiguous
     gw = np.sum(g * w, axis=(-2, -1))
     gw2 = np.sum(g * (w @ w), axis=(-2, -1))
     radial = (u * gw + v * gw2)[..., None] * omega
@@ -76,27 +80,28 @@ def rotation_cotangent(g, omega):
         + c[..., None] * _axis_pairing(g @ wt + wt @ g)
 
 
-def manifold_layer_vjp(x_in, preact, gate, omega, params, cfg, upstream):
+def manifold_layer_vjp(x_in, gate, omega, params, cfg, upstream):
     """Backward step for one geometric layer.
 
     Takes the trace entries recorded by the forward pass (input state,
-    pre-activations, gates, rotation coordinates) plus the cotangent of
-    the layer output, and returns the cotangent of the layer input along
-    with the parameter gradient.  The input cotangent accounts both for
-    the rotation acting on x and for the rotation's own dependence on x
-    through the gates.  Parameter gradients are summed over the batch.
+    gates, rotation coordinates) plus the cotangent of the layer output,
+    and returns the cotangent of the layer input along with the parameter
+    gradient.  The input cotangent accounts both for the rotation acting
+    on x and for the rotation's own dependence on x through the gates.
+    Parameter gradients are summed over the batch.
     """
     item_ndim = len(cfg.state_shape)
     x, single = network._as_batch(x_in, item_ndim)
     vout = network._as_batch(upstream, item_ndim)[0]
-    preact, gate, omega = (np.atleast_2d(a) for a in (preact, gate, omega))
-    rot = network.expm_skew3(omega)
+    gate, omega = np.atleast_2d(gate), np.atleast_2d(omega)
     if cfg.space == manifolds.SPHERE2:
         g = vout[..., :, None] * x[..., None, :]
-        x_cot = np.einsum("pij,pi->pj", rot, vout)
+        x_cot = np.einsum("pij,pi->pj", network.expm_skew3(omega), vout)
     else:
-        g = vout @ np.swapaxes(x, -1, -2)
-        x_cot = np.swapaxes(rot, -1, -2) @ vout
+        # contiguous operands take matmul's fast path with the same sums;
+        # R^T = exp(-W) is bitwise the transpose of R = exp(W)
+        g = vout @ np.ascontiguousarray(np.swapaxes(x, -1, -2))
+        x_cot = network.expm_skew3(-omega) @ vout
     omega_cot = rotation_cotangent(g, omega)
     f_cot = cfg.dt * (omega_cot @ cfg.generators.axials.T)
     gain_grad = np.sum(gate * f_cot, axis=0)
@@ -178,8 +183,8 @@ def backward_from_trace(trace, params, upstream, lam):
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
             upstream, g = manifold_layer_vjp(
-                trace.states[n], trace.preacts[n], trace.gates[n],
-                trace.axials[n], params[n], cfg, upstream)
+                trace.states[n], trace.gates[n], trace.axials[n],
+                params[n], cfg, upstream)
         else:
             upstream, g = classical_layer_vjp(
                 trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)

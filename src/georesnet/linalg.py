@@ -14,7 +14,6 @@ precision.
 """
 
 import numpy as np
-import scipy.linalg
 
 # Below this angle the closed-form sin(t)/t and (1-cos(t))/t**2 lose digits
 # to cancellation; 4-term Taylor series keep truncation error under 1e-17.
@@ -123,6 +122,10 @@ def expm_dense(mat):
 
     Deliberately takes a different route than expm_skew3 (scaling and
     squaring with Pade approximation) so the two can cross-check each
-    other.  Accepts a single matrix only.
+    other.  Accepts a single matrix only.  scipy.linalg is imported here,
+    not at module level: this is its only user, and loading it more than
+    triples the import time of every georesnet process.
     """
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(mat, dtype=float))

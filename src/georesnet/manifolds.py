@@ -30,6 +30,12 @@ def ambient_dim(kind):
     return 3 if kind == SPHERE2 else 9
 
 
+def point_shape(kind):
+    """Shape of one point: (3,) on S2, (3, 3) on SO(3)."""
+    check_kind(kind)
+    return (3,) if kind == SPHERE2 else (3, 3)
+
+
 def tangent_dim(kind):
     """Dimension of the tangent space: 2 for S2, 3 for SO(3)."""
     check_kind(kind)
@@ -49,7 +55,8 @@ def defect(kind, value):
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == SPHERE2:
             return np.abs(np.linalg.norm(value, axis=-1) - 1.0)
-        gram = np.swapaxes(value, -1, -2) @ value
+        # a contiguous transpose takes matmul's fast path; the sums are the same
+        gram = np.ascontiguousarray(np.swapaxes(value, -1, -2)) @ value
         eye = np.eye(3)
         ortho = np.linalg.norm((gram - eye).reshape(gram.shape[:-2] + (9,)), axis=-1)
         return ortho + np.abs(np.linalg.det(value) - 1.0)

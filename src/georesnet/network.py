@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig
+from .errors import InvalidConfig, read_json_object
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
@@ -65,7 +65,7 @@ class NetworkConfig:
         """Shape of one input state: flat ambient for the baseline, else the point's."""
         if self.model == CLASSICAL:
             return (self.state_dim,)
-        return (3,) if self.space == manifolds.SPHERE2 else (3, 3)
+        return manifolds.point_shape(self.space)
 
 
 @dataclass
@@ -94,15 +94,14 @@ _FIELDS = {cls: tuple(f.name for f in fields(cls))
 class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer.
 
-    states has M+1 entries (input through output); preacts and gates have
-    one entry per layer; axials holds each layer's rotation coordinates
-    and is None for the classical model.  Replaying the recorded states
-    through the layers reproduces the output bitwise.
+    states has M+1 entries (input through output); gates has one entry per
+    layer; axials holds each layer's rotation coordinates and is None for
+    the classical model.  Replaying the recorded states through the layers
+    reproduces the output bitwise.
     """
 
     config: NetworkConfig
     states: np.ndarray
-    preacts: np.ndarray
     gates: np.ndarray
     axials: np.ndarray | None = None
 
@@ -202,17 +201,17 @@ def network_forward(x0, params, cfg):
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
         m = len(cfg.generators.fields)
-        layer_forward, recorded = manifold_layer_forward, ((m,), (m,), (3,))
+        layer_forward, recorded = manifold_layer_forward, ((m,), (3,))
     else:
-        d = cfg.state_dim
-        layer_forward, recorded = classical_layer_forward, ((d,), (d,))
+        layer_forward, recorded = classical_layer_forward, ((cfg.state_dim,),)
     states = np.empty((cfg.layers + 1,) + x.shape)
     records = [np.empty((cfg.layers, x.shape[0]) + shape) for shape in recorded]
     states[0] = x
     for n in range(cfg.layers):
         x, values = layer_forward(x, params[n], cfg)
         states[n + 1] = x
-        for record, value in zip(records, values):
+        # values[0] is the pre-activation, which no backward reads
+        for record, value in zip(records, values[1:]):
             record[n] = value
     return (x[0] if single else x), ForwardTrace(cfg, states, *records)
 
@@ -295,8 +294,7 @@ def load_checkpoint(path):
     Raises InvalidConfig unless there is one entry per layer and every
     entry holds each field of the layer schema, at its shape, all finite.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path)
     cfg = NetworkConfig(doc["model"], doc["space"], int(doc["layers"]))
     if len(doc["params"]) != cfg.layers:
         raise InvalidConfig(f"checkpoint has {len(doc['params'])} layer entries "

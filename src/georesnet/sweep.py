@@ -10,13 +10,12 @@ Cells are independent; a diverged cell is recorded with status
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, network, train
-from .errors import DivergenceDetected, InvalidConfig
+from .errors import DivergenceDetected, InvalidConfig, read_json_object
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -153,6 +152,9 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
     cells = cell_order(spec)
     jobs = [(spec, datasets, model, layers, seed) for model, layers, seed in cells]
     if workers > 1:
+        # imported only here: the process pool machinery is not needed otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell_star, jobs))
     else:
@@ -327,5 +329,4 @@ def save_spec(spec, path):
 
 
 def load_spec(path):
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json_object(path))

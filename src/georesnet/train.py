@@ -166,8 +166,7 @@ def mean_output_defect(inputs, params, net_cfg):
 def _train_rows(trace, p_train):
     """The trace of the first p_train rows of a batch, as views."""
     return network.ForwardTrace(
-        trace.config, trace.states[:, :p_train], trace.preacts[:, :p_train],
-        trace.gates[:, :p_train],
+        trace.config, trace.states[:, :p_train], trace.gates[:, :p_train],
         None if trace.axials is None else trace.axials[:, :p_train])
 
 

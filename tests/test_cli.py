@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import georesnet
 from georesnet import cli, data, network
 
 
@@ -17,6 +21,20 @@ def write_json(path, doc):
 def gen_args(out, extra=()):
     return ["gen-data", "--experiment", "exp1", "--train-size", "6",
             "--test-size", "4", "--seed", "3", "--out", str(out), *extra]
+
+
+# --- start-up ---------------------------------------------------------------
+
+def test_importing_the_cli_loads_neither_scipy_linalg_nor_the_process_pool():
+    # every command pays for what `import georesnet.cli` loads; scipy.linalg
+    # (the dense-exponential oracle) and the process pool (sweep --workers)
+    # are loaded only where they run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(georesnet.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import georesnet.cli; "
+             "print(sorted({'scipy.linalg', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- gen-data ---------------------------------------------------------------
@@ -152,6 +170,31 @@ def test_train_rejects_wrongly_typed_config_values(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_train_reports_a_malformed_json_config(tmp_path, capsys):
+    data_dir = make_data_dir(tmp_path)
+    capsys.readouterr()
+    config = tmp_path / "bad.json"
+    config.write_text("{")
+    code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                     "--layers", "1", "--data", str(data_dir),
+                     "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.json" in err
+
+
+def test_train_reports_a_malformed_dataset(tmp_path, capsys):
+    data_dir = make_data_dir(tmp_path)
+    capsys.readouterr()
+    (data_dir / "test.json").write_text('{"kind": "sphere2", "inputs": [')
+    code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                     "--layers", "1", "--data", str(data_dir),
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "test.json" in err
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_requires_an_experiment_or_spec(tmp_path, capsys):
@@ -174,6 +217,13 @@ def test_sweep_from_a_spec_file(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["cells"] == 4
     assert "median test loss" in capsys.readouterr().out
+
+
+def test_sweep_reports_a_malformed_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"experiment": "exp1",')
+    assert cli.main(["sweep", "--config", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # --- check ------------------------------------------------------------------

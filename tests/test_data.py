@@ -1,6 +1,7 @@
 """Reference ODEs, the structure-preserving integrator, and dataset IO."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -209,6 +210,58 @@ def test_dataset_json_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.inputs, train.inputs)
     assert np.array_equal(back.targets, train.targets)
     assert back.metadata == train.metadata
+
+
+def saved_dataset(tmp_path, experiment):
+    train, _ = data.generate_dataset(experiment, 3, 1, seed=21, steps=16)
+    path = tmp_path / "train.json"
+    data.save_dataset(train, path)
+    return path, json.loads(path.read_text())
+
+
+def rejects(path, doc, error=InvalidConfig):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        data.load_dataset(path)
+
+
+def test_load_dataset_rejects_a_wrong_rank_or_shape(tmp_path):
+    for experiment, bad in (("exp1", [[1.0, 0.0]] * 3), ("exp1", [1.0, 0.0, 0.0]),
+                            ("exp1", []), ("exp1", [[1.0, 0.0], [1.0]]),
+                            ("exp2", [[1.0, 0.0, 0.0]] * 3),
+                            ("exp2", [[[1.0, 0.0, 0.0]] * 3] * 3 + [[[1.0, 0.0]] * 3])):
+        for name in ("inputs", "targets"):
+            path, doc = saved_dataset(tmp_path, experiment)
+            doc[name] = bad
+            rejects(path, doc)
+
+
+def test_load_dataset_rejects_a_pair_count_mismatch(tmp_path):
+    for experiment in ("exp1", "exp2"):
+        path, doc = saved_dataset(tmp_path, experiment)
+        doc["targets"] = doc["targets"][:2]
+        rejects(path, doc)
+
+
+def test_load_dataset_rejects_missing_keys(tmp_path):
+    for key in ("kind", "metadata", "inputs", "targets"):
+        path, doc = saved_dataset(tmp_path, "exp2")
+        del doc[key]
+        rejects(path, doc)
+
+
+def test_load_dataset_rejects_non_finite_values(tmp_path):
+    for bad in (float("nan"), float("inf"), None):
+        path, doc = saved_dataset(tmp_path, "exp1")
+        doc["targets"][1][2] = bad
+        rejects(path, doc)
+
+
+def test_load_dataset_rejects_off_manifold_points(tmp_path):
+    for experiment in ("exp1", "exp2"):
+        path, doc = saved_dataset(tmp_path, experiment)
+        doc["inputs"][2] = (1.001 * np.asarray(doc["inputs"][2])).tolist()
+        rejects(path, doc, OffManifold)
 
 
 def test_csv_export_headers_and_values(tmp_path):

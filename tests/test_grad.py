@@ -95,7 +95,7 @@ def test_manifold_vjp_zero_upstream_gives_zero_gradients():
     cfg, params, x, _ = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 4, 4)
     _, trace = network.network_forward(x, params, cfg)
     x_cot, g = grad.manifold_layer_vjp(
-        trace.states[0], trace.preacts[0], trace.gates[0], trace.axials[0],
+        trace.states[0], trace.gates[0], trace.axials[0],
         params[0], cfg, np.zeros_like(x))
     assert np.array_equal(x_cot, np.zeros_like(x))
     assert np.array_equal(g.gains, np.zeros(2))
@@ -114,8 +114,8 @@ def test_manifold_vjp_at_zero_gains():
         biases=rng.standard_normal(2))
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
     v = rng.standard_normal(3)
-    out, (z, gate, omega) = network.manifold_layer_forward(x, params, cfg)
-    x_cot, g = grad.manifold_layer_vjp(x, z, gate, omega, params, cfg, v)
+    out, (_, gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    x_cot, g = grad.manifold_layer_vjp(x, gate, omega, params, cfg, v)
     assert np.allclose(x_cot, v, atol=1e-15)
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
@@ -129,7 +129,7 @@ def test_manifold_vjp_is_linear_in_the_upstream():
     _, trace = network.network_forward(x, params, cfg)
     rng = np.random.default_rng(7)
     v1, v2 = rng.standard_normal((2,) + x.shape)
-    args = (trace.states[0], trace.preacts[0], trace.gates[0], trace.axials[0],
+    args = (trace.states[0], trace.gates[0], trace.axials[0],
             params[0], cfg)
     x_a, g_a = grad.manifold_layer_vjp(*args, 2.0 * v1 + v2)
     x_1, g_1 = grad.manifold_layer_vjp(*args, v1)

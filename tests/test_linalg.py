@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from georesnet.grad import _sens_coeffs
+from georesnet.grad import _rotation_coeffs
 from georesnet.linalg import (
     SMALL_ANGLE, _sinc_coeffs, axial_from_skew, expm_dense, expm_skew3, skew_from_axial,
 )
@@ -116,6 +116,21 @@ def test_tiny_angles_are_exact_to_first_order():
     assert rotation_defect(r) <= 1e-15
 
 
+def test_negated_axial_gives_the_transpose_bitwise():
+    # the backward takes R^T as expm_skew3(-omega) and W^T as
+    # skew_from_axial(-omega); both must be exact transposes, signs of
+    # zeros included
+    rng = np.random.default_rng(11)
+    for n in (1, 100, 1000):
+        axes = rng.standard_normal((n, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        w = axes * rng.choice([0.0, 1e-9, 6e-5, SMALL_ANGLE, 0.3, 3.0, np.pi], n)[:, None]
+        for fn in (expm_skew3, skew_from_axial):
+            got, want = fn(-w), np.swapaxes(fn(w), -1, -2)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_exp_batched_shapes():
     w = np.zeros((7, 2, 3))
     assert expm_skew3(w).shape == (7, 2, 3, 3)
@@ -139,7 +154,7 @@ SMALL_ANGLES = np.array([0.0, 1e-12, 3e-5, 6.1e-5, SMALL_ANGLE * (1.0 - 1e-12)])
 BIG_ANGLES = np.array([SMALL_ANGLE, 2.1e-4, 6.3e-4, 0.5, np.pi, 40.0])
 
 
-@pytest.mark.parametrize("coeffs", [_sinc_coeffs, _sens_coeffs])
+@pytest.mark.parametrize("coeffs", [_sinc_coeffs, _rotation_coeffs])
 def test_coefficients_agree_across_all_dispatch_paths(coeffs):
     # the all-small and all-big batches take the two whole-array paths
     expected = [np.concatenate(p)
@@ -157,9 +172,18 @@ def test_all_small_angles_take_the_series_branch():
     # the closed forms are 0/0 at t = 0; the series gives the limits
     s, c = _sinc_coeffs(np.zeros(4))
     assert np.array_equal(s, np.ones(4)) and np.array_equal(c, np.full(4, 0.5))
-    u, v = _sens_coeffs(np.zeros(4))
+    _, _, u, v = _rotation_coeffs(np.zeros(4))
     assert np.array_equal(u, np.full(4, -1.0 / 3.0))
     assert np.array_equal(v, np.full(4, -1.0 / 12.0))
+
+
+def test_backward_coefficients_start_with_the_forward_ones():
+    # rotation_cotangent must see the s and c that expm_skew3 used
+    angles = np.concatenate([SMALL_ANGLES, BIG_ANGLES])
+    for t in (SMALL_ANGLES, BIG_ANGLES, angles):
+        s, c, _, _ = _rotation_coeffs(t)
+        want_s, want_c = _sinc_coeffs(t)
+        assert np.array_equal(s, want_s) and np.array_equal(c, want_c)
 
 
 def test_all_big_angles_take_the_closed_form_branch():

@@ -129,7 +129,7 @@ def input_cotangent(trace, params, upstream):
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
             upstream, _ = grad.manifold_layer_vjp(
-                trace.states[n], trace.preacts[n], trace.gates[n], trace.axials[n],
+                trace.states[n], trace.gates[n], trace.axials[n],
                 params[n], cfg, upstream)
         else:
             upstream, _ = grad.classical_layer_vjp(
@@ -160,7 +160,6 @@ def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
                 assert np.array_equal(x_cot[rows], input_cotangent(alone_trace, params, v[rows]))
                 assert np.array_equal(out[rows], alone)
                 assert np.array_equal(trace.states[:, rows], alone_trace.states)
-                assert np.array_equal(trace.preacts[:, rows], alone_trace.preacts)
                 assert np.array_equal(trace.gates[:, rows], alone_trace.gates)
                 if cfg.model == network.MANIFOLD:
                     assert np.array_equal(trace.axials[:, rows], alone_trace.axials)
@@ -432,6 +431,14 @@ def test_load_checkpoint_rejects_non_finite_values(tmp_path):
         doc["params"][0]["bias"][4] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidConfig):
+            network.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_malformed_json(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for text in ("{", "[1, 2]", "\xff"):
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(InvalidConfig, match="ckpt.json"):
             network.load_checkpoint(path)
 
 
