@@ -147,7 +147,7 @@ def _pair_array(doc, name, shape, path):
         value = np.asarray(doc[name], dtype=float)
     except (TypeError, ValueError):  # ragged nesting or non-numbers
         raise InvalidConfig(f"dataset {path}: {name} is not a numeric array") from None
-    if value.shape[1:] != shape or not len(value):
+    if value.shape[1:] != shape:  # an empty list has shape (0,) and fails too
         raise InvalidConfig(f"dataset {path}: {name} must have shape (n,) + {shape}, "
                             f"got {value.shape}")
     return value
