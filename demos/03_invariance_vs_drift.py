@@ -15,14 +15,11 @@ rng = np.random.default_rng(7)
 for kind in manifolds.KINDS:
     print(f"--- {kind} ---")
     x0 = manifolds.sample_uniform(kind, rng, 64)
-    flat = x0.reshape(64, -1)
     for layers in (1, 4, 16, 64):
         geo = network.NetworkConfig(network.MANIFOLD, kind, layers)
         cla = network.NetworkConfig(network.CLASSICAL, kind, layers)
         out_g = network.network_forward(x0, network.init_params(geo, rng), geo)[0]
-        out_c = network.network_forward(flat, network.init_params(cla, rng), cla)[0]
-        if kind == manifolds.SO3:
-            out_c = out_c.reshape(64, 3, 3)
+        out_c = network.network_forward(x0, network.init_params(cla, rng), cla)[0]
         d_g = float(np.max(manifolds.defect(kind, out_g)))
         d_c = float(np.max(manifolds.defect(kind, out_c)))
         print(f"  M = {layers:3d}: geometric defect {d_g:.2e}   "

@@ -21,9 +21,6 @@ for kind in manifolds.KINDS:
             params = network.init_params(cfg, rng)
             x = manifolds.sample_uniform(kind, rng, 4)
             y = manifolds.sample_uniform(kind, rng, 4)
-            if model == network.CLASSICAL:
-                x = x.reshape(4, -1)
-                y = y.reshape(4, -1)
             err = grad.finite_diff_check(params, cfg, x, y, lam=1e-3)
             print(f"{kind:8s} {model:10s} {layers:2d} "
                   f"{network.param_count(cfg):7d} {err:10.2e}")

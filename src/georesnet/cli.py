@@ -153,9 +153,6 @@ def _suite_gradcheck(rng):
                 params = network.init_params(cfg, rng)
                 x = manifolds.sample_uniform(kind, rng, 3)
                 y = manifolds.sample_uniform(kind, rng, 3)
-                if model == network.CLASSICAL:
-                    x = x.reshape(3, -1)
-                    y = y.reshape(3, -1)
                 err = grad.finite_diff_check(params, cfg, x, y, lam=1e-3)
                 worst = max(worst, err)
     return [("gradient vs central differences (12 configs)", worst, 1e-4)]

@@ -33,6 +33,11 @@ def read_json_object(path):
     return doc
 
 
+def is_a(kind, value):
+    """isinstance for a numbers ABC, with bool (an int subclass) excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class DivergenceDetected(GeoResNetError):
     """Training produced a non-finite loss.
 

@@ -80,20 +80,16 @@ def rotation_cotangent(g, omega):
         + c[..., None] * _axis_pairing(g @ wt + wt @ g)
 
 
-def manifold_layer_vjp(x_in, gate, omega, params, cfg, upstream):
-    """Backward step for one geometric layer.
+def manifold_layer_vjp(x, gate, omega, params, cfg, vout):
+    """Backward step for one geometric layer on a batch.
 
-    Takes the trace entries recorded by the forward pass (input state,
-    gates, rotation coordinates) plus the cotangent of the layer output,
-    and returns the cotangent of the layer input along with the parameter
-    gradient.  The input cotangent accounts both for the rotation acting
-    on x and for the rotation's own dependence on x through the gates.
-    Parameter gradients are summed over the batch.
+    Takes the trace entries recorded by the forward pass (input states,
+    gates, rotation coordinates) plus the cotangent vout of the layer
+    output, and returns the cotangent of the layer input along with the
+    parameter gradient.  The input cotangent accounts both for the
+    rotation acting on x and for the rotation's own dependence on x
+    through the gates.  Parameter gradients are summed over the batch.
     """
-    item_ndim = len(cfg.state_shape)
-    x, single = network._as_batch(x_in, item_ndim)
-    vout = network._as_batch(upstream, item_ndim)[0]
-    gate, omega = np.atleast_2d(gate), np.atleast_2d(omega)
     if cfg.space == manifolds.SPHERE2:
         g = vout[..., :, None] * x[..., None, :]
         x_cot = np.einsum("pij,pi->pj", network.expm_skew3(omega), vout)
@@ -113,47 +109,37 @@ def manifold_layer_vjp(x_in, gate, omega, params, cfg, upstream):
     else:
         weight_grad = np.einsum("pm,pij->mij", z_cot, x)
         x_cot = x_cot + np.einsum("pm,mij->pij", z_cot, params.weights)
-    grad = network.ManifoldLayerParams(gain_grad, weight_grad, bias_grad)
-    return (x_cot[0] if single else x_cot), grad
+    return x_cot, network.ManifoldLayerParams(gain_grad, weight_grad, bias_grad)
 
 
-def classical_layer_vjp(x_in, gate, params, dt, upstream):
-    """Backward step for one residual block; closed-form chain rule.
+def classical_layer_vjp(x, s, params, dt, vout):
+    """Backward step for one residual block on a batch; closed-form chain rule.
 
-    gate is sigma(w_in x + bias) as the forward pass recorded it.  The
-    per-row products go through network._matmul_rows, so a row's input
-    cotangent does not depend on the batch it came in.
+    x holds the flat input rows and s = sigma(w_in x + bias) the gates, as
+    the forward pass recorded them.  The per-row products go through
+    network._matmul_rows, so a row's input cotangent does not depend on
+    the batch it came in.
     """
-    x, single = network._as_batch(x_in, 1)
-    vout = network._as_batch(upstream, 1)[0]
-    s = np.atleast_2d(gate)
     w_out_grad = dt * (vout.T @ s)
     t = network._matmul_rows(vout, params.w_out) * (s * (1.0 - s))
     w_in_grad = dt * (t.T @ x)
     bias_grad = dt * np.sum(t, axis=0)
     x_cot = vout + dt * network._matmul_rows(t, params.w_in)
-    grad = network.ClassicalLayerParams(w_out_grad, w_in_grad, bias_grad)
-    return (x_cot[0] if single else x_cot), grad
+    return x_cot, network.ClassicalLayerParams(w_out_grad, w_in_grad, bias_grad)
 
 
-def _batch(inputs, targets, cfg):
-    item_ndim = len(cfg.state_shape)
-    return network._as_batch(inputs, item_ndim)[0], network._as_batch(targets, item_ndim)[0]
+def regularizer_norm(theta):
+    """Sum of squares of the flat parameter vector theta."""
+    return float(np.sum(np.square(theta)))
 
 
-def regularizer_norm(params):
-    """Sum of squares of every stored scalar, all layers together."""
-    if not params:
-        return 0.0
-    return float(np.sum(network.flatten_params(params) ** 2))
-
-
-def objective(outputs, targets, params, lam, dt):
+def objective(outputs, targets, theta, lam, dt):
     """The training objective of a batch of outputs, as (loss, residual).
 
-    loss = (1/P) sum_j ||outputs_j - targets_j||^2 + (lam dt / 2) ||Theta||^2
-    and the residual is outputs - targets.  The test loss is the plain
-    mean squared error: no params and lam = 0.
+    loss = (1/P) sum_j ||outputs_j - targets_j||^2 + (lam dt / 2) ||theta||^2
+    with theta the flat parameter vector (network.flatten_params), and the
+    residual is outputs - targets.  The test loss is the plain mean squared
+    error: theta = () and lam = 0.
     """
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -161,23 +147,25 @@ def objective(outputs, targets, params, lam, dt):
         raise InvalidConfig("outputs and targets must be matching nonempty batches")
     r = outputs - targets
     data = float(np.sum(r * r)) / len(r)
-    return data + 0.5 * lam * dt * regularizer_norm(params), r
+    return data + 0.5 * lam * dt * regularizer_norm(theta), r
 
 
 def network_loss(inputs, targets, params, cfg, lam):
     """Objective value of the network on a batch of inputs and targets."""
-    x, y = _batch(inputs, targets, cfg)
-    return objective(network.network_forward(x, params, cfg)[0], y, params, lam, cfg.dt)[0]
+    out = network.network_forward(inputs, params, cfg)[0]
+    return objective(out, targets, network.flatten_params(params), lam, cfg.dt)[0]
 
 
 def backward_from_trace(trace, params, upstream, lam):
     """Backward sweep over a recorded forward pass.
 
-    upstream is the cotangent of the final state (already including any
-    batch-averaging factors); the result is the per-layer parameter
-    gradient of data term plus lam * dt * theta from the Tikhonov term.
+    upstream is the cotangent of the network output (already including
+    any batch-averaging factors), shaped like the output batch; the
+    result is the per-layer parameter gradient of data term plus
+    lam * dt * theta from the Tikhonov term.
     """
     cfg = trace.config
+    upstream = upstream.reshape(trace.states.shape[1:])  # flat rows for the baseline
     schema = network.layer_schema(cfg)[1]
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
@@ -201,9 +189,8 @@ def network_gradient(inputs, targets, params, cfg, lam):
     The data term is (1/P) sum_j ||out_j - y_j||^2, so the output
     cotangent seeding the backward sweep is (2/P) (out - y).
     """
-    x, y = _batch(inputs, targets, cfg)
-    out, trace = network.network_forward(x, params, cfg)
-    loss, r = objective(out, y, params, lam, cfg.dt)
+    out, trace = network.network_forward(inputs, params, cfg)
+    loss, r = objective(out, targets, network.flatten_params(params), lam, cfg.dt)
     return loss, backward_from_trace(trace, params, (2.0 / len(r)) * r, lam)
 
 

@@ -12,9 +12,11 @@ the state can never leave the manifold, whatever the parameters.  The
 baseline is the standard residual step x_{N+1} = x_N + dt * A sigma(W x_N
 + b) on the flattened ambient state and has no such protection.
 
-All forward functions are batched: states stack on a leading axis, and a
-single state (shape (3,) or (3, 3)) is accepted anywhere and returned in
-kind.
+Both nets take and return manifold points, (3,) on S2 and (3, 3) on SO(3),
+stacked on a leading axis.  network_forward is the only function that also
+accepts a single state, and the only one that turns points into the
+baseline's flat ambient rows and back; the layer functions take batches in
+the form their model works on.
 """
 
 import json
@@ -59,13 +61,6 @@ class NetworkConfig:
     @property
     def state_dim(self):
         return manifolds.ambient_dim(self.space)
-
-    @property
-    def state_shape(self):
-        """Shape of one input state: flat ambient for the baseline, else the point's."""
-        if self.model == CLASSICAL:
-            return (self.state_dim,)
-        return manifolds.point_shape(self.space)
 
 
 @dataclass
@@ -144,7 +139,7 @@ def manifold_preactivation(x, params, space):
 
 
 def manifold_layer_forward(x, params, cfg):
-    """One geometric layer.  Returns (next state, (preact, gate, axial)).
+    """One geometric layer on a batch.  Returns (next states, (gate, axial)).
 
     The axial entry is the rotation-coordinate vector dt * sum_i gain_i *
     sigma(z_i) * axial(B_i) actually exponentiated, kept for the backward
@@ -154,9 +149,7 @@ def manifold_layer_forward(x, params, cfg):
     network_forward checks the network input once, and a rotation keeps a
     finite state on the manifold.
     """
-    x, single = _as_batch(x, len(cfg.state_shape))
-    z = manifold_preactivation(x, params, cfg.space)
-    gate = sigmoid(z)
+    gate = sigmoid(manifold_preactivation(x, params, cfg.space))
     f = params.gains * gate
     omega = cfg.dt * _matmul_rows(f, cfg.generators.axials)
     rot = expm_skew3(omega)
@@ -164,56 +157,56 @@ def manifold_layer_forward(x, params, cfg):
         out = np.einsum("pij,pj->pi", rot, x)
     else:
         out = rot @ x
-    if single:
-        return out[0], (z[0], gate[0], omega[0])
-    return out, (z, gate, omega)
+    return out, (gate, omega)
 
 
 def classical_layer_forward(x, params, cfg):
-    """One residual block x + dt * w_out @ sigma(w_in @ x + bias).
+    """One residual block x + dt * w_out @ sigma(w_in @ x + bias) on a batch.
 
-    Returns (next state, (preact, gate)), like manifold_layer_forward; the
-    state is the flat ambient vector and nothing keeps it on the manifold.
+    Returns (next states, (gate,)), like manifold_layer_forward.  The rows
+    of x are flat ambient vectors, and nothing keeps them on the manifold.
     """
-    x, single = _as_batch(x, 1)
-    pre = _matmul_rows(x, params.w_in.T) + params.bias
-    gate = sigmoid(pre)
+    gate = sigmoid(_matmul_rows(x, params.w_in.T) + params.bias)
     out = x + cfg.dt * _matmul_rows(gate, params.w_out.T)
-    if single:
-        return out[0], (pre[0], gate[0])
-    return out, (pre, gate)
+    return out, (gate,)
 
 
 def network_forward(x0, params, cfg):
     """Compose all layers, recording a full trace.
 
-    x0 is a single state or a batch; params is the per-layer list, whose
-    length must equal cfg.layers.  Classical inputs are flattened ambient
-    vectors of length cfg.state_dim.  Geometric inputs whose defect exceeds
+    x0 is one manifold point or a batch of them, for either model; params
+    is the per-layer list, whose length must equal cfg.layers.  The output
+    has the shape of x0.  Geometric inputs whose defect exceeds
     manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
     only manifold check on the way through the layers.
+
+    The baseline works on flat ambient rows of length cfg.state_dim: the
+    batch is flattened here on entry, the trace records the flat states,
+    and the output is reshaped back to points on exit.
     """
     if len(params) != cfg.layers:
         raise InvalidConfig(f"expected {cfg.layers} layer params, got {len(params)}")
-    x, single = _as_batch(x0, len(cfg.state_shape))
-    if x.shape[1:] != cfg.state_shape:
-        raise InvalidConfig(f"{cfg.model} states must have shape {cfg.state_shape}")
+    shape = manifolds.point_shape(cfg.space)
+    x, single = _as_batch(x0, len(shape))
+    if x.shape[1:] != shape:
+        raise InvalidConfig(f"{cfg.space} states must have shape {shape}")
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
         m = len(cfg.generators.fields)
         layer_forward, recorded = manifold_layer_forward, ((m,), (3,))
     else:
+        x = x.reshape(len(x), cfg.state_dim)
         layer_forward, recorded = classical_layer_forward, ((cfg.state_dim,),)
     states = np.empty((cfg.layers + 1,) + x.shape)
-    records = [np.empty((cfg.layers, x.shape[0]) + shape) for shape in recorded]
+    records = [np.empty((cfg.layers, x.shape[0]) + dims) for dims in recorded]
     states[0] = x
     for n in range(cfg.layers):
         x, values = layer_forward(x, params[n], cfg)
         states[n + 1] = x
-        # values[0] is the pre-activation, which no backward reads
-        for record, value in zip(records, values[1:]):
+        for record, value in zip(records, values):
             record[n] = value
-    return (x[0] if single else x), ForwardTrace(cfg, states, *records)
+    out = x.reshape((len(x),) + shape)
+    return (out[0] if single else out), ForwardTrace(cfg, states, *records)
 
 
 def layer_schema(cfg):
@@ -227,7 +220,8 @@ def layer_schema(cfg):
     """
     if cfg.model == MANIFOLD:
         m = len(cfg.generators.fields)
-        cls, shapes, scale = ManifoldLayerParams, ((m,), (m,) + cfg.state_shape, (m,)), 1.0
+        weights = (m,) + manifolds.point_shape(cfg.space)
+        cls, shapes, scale = ManifoldLayerParams, ((m,), weights, (m,)), 1.0
     else:
         d = cfg.state_dim
         cls, shapes, scale = ClassicalLayerParams, ((d, d), (d, d), (d,)), 1.0 / np.sqrt(d)
@@ -291,10 +285,14 @@ def save_checkpoint(path, cfg, params, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint back as (config, params, meta).
 
-    Raises InvalidConfig unless there is one entry per layer and every
-    entry holds each field of the layer schema, at its shape, all finite.
+    Raises InvalidConfig unless the file holds model, space, layers and
+    params, there is one params entry per layer, and every entry holds
+    each field of the layer schema, at its shape, all finite.
     """
     doc = read_json_object(path)
+    missing = [k for k in ("model", "space", "layers", "params") if k not in doc]
+    if missing:
+        raise InvalidConfig(f"checkpoint {path} lacks {missing}")
     cfg = NetworkConfig(doc["model"], doc["space"], int(doc["layers"]))
     if len(doc["params"]) != cfg.layers:
         raise InvalidConfig(f"checkpoint has {len(doc['params'])} layer entries "

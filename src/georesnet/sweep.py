@@ -9,13 +9,14 @@ Cells are independent; a diverged cell is recorded with status
 """
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data, network, train
-from .errors import DivergenceDetected, InvalidConfig, read_json_object
+from .errors import DivergenceDetected, InvalidConfig, is_a, read_json_object
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -37,6 +38,15 @@ class SweepSpec:
 
     def __post_init__(self):
         data.ode_by_id(self.experiment)  # validates the id
+        wrong = [name for name in ("manifold_layers", "classical_layers", "seeds")
+                 if not (isinstance(getattr(self, name), (list, tuple))
+                         and all(is_a(numbers.Integral, v) for v in getattr(self, name)))]
+        wrong += [name for name in ("p_train", "p_test", "data_seed")
+                  if not is_a(numbers.Integral, getattr(self, name))]
+        if not (self.train is None or isinstance(self.train, dict)):
+            wrong.append("train")
+        if wrong:
+            raise InvalidConfig(f"wrongly typed sweep spec values: {wrong}")
         object.__setattr__(self, "manifold_layers",
                            tuple(int(m) for m in self.manifold_layers))
         object.__setattr__(self, "classical_layers",

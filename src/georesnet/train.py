@@ -21,16 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig
+from .errors import DivergenceDetected, InvalidConfig, is_a
 
 QUICK_EPOCHS = 2000
 
 METRICS_COLUMNS = ("epoch", "lr", "train_loss", "test_loss", "max_defect")
-
-
-def _is(kind, value):
-    """isinstance for a numbers ABC, with bool (an int subclass) excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,13 +41,13 @@ class TrainConfig:
 
     def __post_init__(self):
         wrong = [name for name in ("lr0", "momentum", "decay_factor", "lam")
-                 if not _is(numbers.Real, getattr(self, name))]
+                 if not is_a(numbers.Real, getattr(self, name))]
         wrong += [name for name in ("epochs", "seed")
-                  if not _is(numbers.Integral, getattr(self, name))]
-        if not (self.batch_size is None or _is(numbers.Integral, self.batch_size)):
+                  if not is_a(numbers.Integral, getattr(self, name))]
+        if not (self.batch_size is None or is_a(numbers.Integral, self.batch_size)):
             wrong.append("batch_size")
         if not (isinstance(self.decay_epochs, (list, tuple))
-                and all(_is(numbers.Integral, e) for e in self.decay_epochs)):
+                and all(is_a(numbers.Integral, e) for e in self.decay_epochs)):
             wrong.append("decay_epochs")
         if wrong:
             raise InvalidConfig(f"wrongly typed config values: {wrong}")
@@ -132,21 +127,9 @@ def sgd_step(params, grads, velocity, lr, momentum):
     return params - lr * velocity, velocity
 
 
-def _ambient(values, model):
-    """Dataset arrays in the form the given model consumes."""
-    if model == network.CLASSICAL:
-        return values.reshape(values.shape[0], -1)
-    return values
-
-
-def prediction_defects(outputs, space, model):
-    """Per-sample manifold defect of network outputs.
-
-    Classical outputs are flat ambient vectors and get reshaped before
-    measuring; for the geometric net this is a pure sanity number.
-    """
-    if model == network.CLASSICAL and space == manifolds.SO3:
-        outputs = outputs.reshape(outputs.shape[0], 3, 3)
+def prediction_defects(outputs, space):
+    """Per-sample manifold defect of network outputs: the baseline's drift,
+    and for the geometric net a pure sanity number."""
     return manifolds.defect(space, outputs)
 
 
@@ -159,8 +142,8 @@ def mean_output_defect(inputs, params, net_cfg):
     mean NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = network.network_forward(_ambient(inputs, net_cfg.model), params, net_cfg)[0]
-        return float(np.mean(prediction_defects(out, net_cfg.space, net_cfg.model)))
+        out = network.network_forward(inputs, params, net_cfg)[0]
+        return float(np.mean(prediction_defects(out, net_cfg.space)))
 
 
 def _train_rows(trace, p_train):
@@ -193,10 +176,8 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     params = network.unflatten_params(flat, net_cfg)
     velocity = np.zeros_like(flat)
 
-    train_x = _ambient(train_ds.inputs, net_cfg.model)
-    train_y = _ambient(train_ds.targets, net_cfg.model)
-    test_y = _ambient(test_ds.targets, net_cfg.model)
-    all_x = np.concatenate([train_x, _ambient(test_ds.inputs, net_cfg.model)])
+    train_x, train_y = train_ds.inputs, train_ds.targets
+    all_x = np.concatenate([train_x, test_ds.inputs])
     p_train = train_x.shape[0]
 
     series = {name: [] for name in METRICS_COLUMNS}
@@ -221,15 +202,16 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             lr = lr_schedule(epoch, cfg)
 
             all_out, trace = network.network_forward(all_x, params, net_cfg)
-            train_loss, r = grad.objective(all_out[:p_train], train_y, params,
+            train_loss, r = grad.objective(all_out[:p_train], train_y, flat,
                                            cfg.lam, net_cfg.dt)
-            test_loss = grad.objective(all_out[p_train:], test_y, (), 0.0, net_cfg.dt)[0]
+            test_loss = grad.objective(all_out[p_train:], test_ds.targets, (), 0.0,
+                                       net_cfg.dt)[0]
 
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise DivergenceDetected(
                     f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
 
-            worst = np.max(prediction_defects(all_out, net_cfg.space, net_cfg.model))
+            worst = np.max(prediction_defects(all_out, net_cfg.space))
             series["epoch"].append(epoch)
             series["lr"].append(lr)
             series["train_loss"].append(train_loss)

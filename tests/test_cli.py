@@ -226,6 +226,16 @@ def test_sweep_reports_a_malformed_spec(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_sweep_reports_a_wrongly_typed_spec(tmp_path, capsys):
+    spec = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
+            "seeds": [0], "train": {"epochs": 1}, "p_train": 4, "p_test": 4}
+    for field, bad in (("manifold_layers", 5), ("p_train", "x")):
+        config = write_json(tmp_path / "spec.json", {**spec, field: bad})
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
 # --- check ------------------------------------------------------------------
 
 def test_check_suites_pass_and_report(tmp_path, capsys):

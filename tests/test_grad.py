@@ -18,9 +18,6 @@ def random_problem(model, space, layers, batch, seed):
     params = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(space, rng, batch)
     y = manifolds.sample_uniform(space, rng, batch)
-    if model == network.CLASSICAL:
-        x = x.reshape(batch, -1)
-        y = y.reshape(batch, -1)
     return cfg, params, x, y
 
 
@@ -112,15 +109,15 @@ def test_manifold_vjp_at_zero_gains():
     params = network.ManifoldLayerParams(
         gains=np.zeros(2), weights=rng.standard_normal((2, 3)),
         biases=rng.standard_normal(2))
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
-    v = rng.standard_normal(3)
-    out, (_, gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
+    v = rng.standard_normal((1, 3))
+    out, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
     x_cot, g = grad.manifold_layer_vjp(x, gate, omega, params, cfg, v)
     assert np.allclose(x_cot, v, atol=1e-15)
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
     for i, field in enumerate(cfg.generators.fields):
-        expected = cfg.dt * gate[i] * (v @ (field.matrix @ x))
+        expected = cfg.dt * gate[0, i] * (v[0] @ (field.matrix @ x[0]))
         assert np.isclose(g.gains[i], expected, atol=1e-14)
 
 
@@ -143,9 +140,9 @@ def test_classical_vjp_zero_output_weight_passes_upstream_through():
     params = network.ClassicalLayerParams(
         w_out=np.zeros((3, 3)), w_in=rng.standard_normal((3, 3)),
         bias=rng.standard_normal(3))
-    v = rng.standard_normal(3)
-    x = rng.standard_normal(3)
-    gate = network.sigmoid(params.w_in @ x + params.bias)
+    v = rng.standard_normal((1, 3))
+    x = rng.standard_normal((1, 3))
+    gate = network.sigmoid(x @ params.w_in.T + params.bias)
     x_cot, g = grad.classical_layer_vjp(x, gate, params, 0.5, v)
     assert np.array_equal(x_cot, v)
     assert np.array_equal(g.w_in, np.zeros((3, 3)))
@@ -160,13 +157,13 @@ def test_classical_vjp_scalar_case_matches_hand_chain_rule():
         w_out=np.array([[a]]), w_in=np.array([[w]]), bias=np.array([b]))
     z = w * x + b
     s = network.sigmoid(z)
-    x_cot, g = grad.classical_layer_vjp(np.array([x]), np.array([s]), params, dt,
-                                        np.array([v]))
+    x_cot, g = grad.classical_layer_vjp(np.array([[x]]), np.array([[s]]), params, dt,
+                                        np.array([[v]]))
     ds = s * (1.0 - s)
     assert np.isclose(g.w_out[0, 0], dt * s * v, rtol=1e-15)
     assert np.isclose(g.w_in[0, 0], dt * a * ds * x * v, rtol=1e-14)
     assert np.isclose(g.bias[0], dt * a * ds * v, rtol=1e-14)
-    assert np.isclose(x_cot[0], v + dt * v * a * ds * w, rtol=1e-14)
+    assert np.isclose(x_cot[0, 0], v + dt * v * a * ds * w, rtol=1e-14)
 
 
 def test_classical_vjp_matches_finite_differences():
@@ -211,7 +208,7 @@ def test_network_loss_includes_the_regularizer_exactly():
     lam = 1e-2
     with_reg = grad.network_loss(x, y, params, cfg, lam)
     without = grad.network_loss(x, y, params, cfg, 0.0)
-    reg = 0.5 * lam * cfg.dt * grad.regularizer_norm(params)
+    reg = 0.5 * lam * cfg.dt * grad.regularizer_norm(network.flatten_params(params))
     assert np.isclose(with_reg - without, reg, rtol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Forward passes, parameter counting, and checkpoint round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_zero_gains_leave_the_state_alone():
     params = network.ManifoldLayerParams(
         gains=np.zeros(2), weights=rng.standard_normal((2, 3)),
         biases=rng.standard_normal(2))
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
+    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
     out, _ = network.manifold_layer_forward(x, params, cfg)
     assert np.array_equal(out, x)
 
@@ -96,10 +97,10 @@ def test_constant_gate_layer_rotates_by_the_expected_angle():
     params = network.ManifoldLayerParams(
         gains=np.array([np.pi / (2.0 * cfg.dt * network.sigmoid(b)), 0.0]),
         weights=np.zeros((2, 3)), biases=np.array([b, 0.0]))
-    out, (z, gate, omega) = network.manifold_layer_forward(E1, params, cfg)
-    assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-14)
-    assert np.allclose(omega, [0.0, 0.0, np.pi / 2], atol=1e-14)
-    assert gate[0] == network.sigmoid(b)
+    out, (gate, omega) = network.manifold_layer_forward(E1[None], params, cfg)
+    assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-14)
+    assert np.allclose(omega, [[0.0, 0.0, np.pi / 2]], atol=1e-14)
+    assert gate[0, 0] == network.sigmoid(b)
 
 
 def test_layer_rejects_off_manifold_input():
@@ -150,10 +151,9 @@ def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
         for p in (1,) * 8 + (3, 100):
             a = manifolds.sample_uniform(cfg.space, rng, p)
             b = manifolds.sample_uniform(cfg.space, rng, p + 1)
-            if cfg.model == network.CLASSICAL:
-                a, b = a.reshape(p, -1), b.reshape(p + 1, -1)
             out, trace = network.network_forward(np.concatenate([a, b]), params, cfg)
-            v = rng.standard_normal(out.shape)
+            # a cotangent per traced row: flat for the baseline
+            v = rng.standard_normal(trace.states.shape[1:])
             x_cot = input_cotangent(trace, params, v)
             for part, rows in ((a, slice(0, p)), (b, slice(p, None))):
                 alone, alone_trace = network.network_forward(part, params, cfg)
@@ -178,8 +178,8 @@ def test_so3_layer_moves_by_left_rotation():
     rng = np.random.default_rng(5)
     cfg = so3_cfg(2)
     params = network.init_params(cfg, rng)
-    x = manifolds.sample_uniform(manifolds.SO3, rng)
-    out, (z, gate, omega) = network.manifold_layer_forward(x, params[0], cfg)
+    x = manifolds.sample_uniform(manifolds.SO3, rng, 1)
+    out, (gate, omega) = network.manifold_layer_forward(x, params[0], cfg)
     assert np.allclose(out, expm_skew3(omega) @ x, atol=1e-15)
     assert manifolds.defect(manifolds.SO3, out) <= 1e-14
 
@@ -193,9 +193,9 @@ def test_layer_commutes_with_rotations_about_its_own_axis():
         biases=np.array([0.4, -0.2]))
     rot = expm_skew3([0.0, 0.0, 0.77])
     rng = np.random.default_rng(6)
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
-    layer_then_rot = rot @ network.manifold_layer_forward(x, params, cfg)[0]
-    rot_then_layer = network.manifold_layer_forward(rot @ x, params, cfg)[0]
+    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
+    layer_then_rot = network.manifold_layer_forward(x, params, cfg)[0] @ rot.T
+    rot_then_layer = network.manifold_layer_forward(x @ rot.T, params, cfg)[0]
     assert np.max(np.abs(layer_then_rot - rot_then_layer)) <= 1e-12
 
 
@@ -206,7 +206,7 @@ def test_classical_zero_output_weight_is_identity():
     params = network.ClassicalLayerParams(
         w_out=np.zeros((3, 3)), w_in=rng.standard_normal((3, 3)),
         bias=rng.standard_normal(3))
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((4, 3))
     out, _ = network.classical_layer_forward(x, params, sphere_cfg(4, network.CLASSICAL))
     assert np.array_equal(out, x)
 
@@ -216,13 +216,13 @@ def test_classical_layer_closed_form_at_zero_preactivation():
     a = rng.standard_normal((3, 3))
     params = network.ClassicalLayerParams(
         w_out=a, w_in=np.zeros((3, 3)), bias=np.zeros(3))
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
     # sigmoid(0) = 0.5 componentwise, so the update is x + dt a (0.5 1)
     expected = x + 1.0 * (a @ np.full(3, 0.5))
-    out, (pre, gate) = network.classical_layer_forward(
+    out, (gate,) = network.classical_layer_forward(
         x, params, sphere_cfg(1, network.CLASSICAL))
     assert np.allclose(out, expected, atol=1e-15)
-    assert np.array_equal(pre, np.zeros(3)) and np.array_equal(gate, np.full(3, 0.5))
+    assert np.array_equal(gate, np.full((1, 3), 0.5))
 
 
 def test_classical_layer_drifts_off_the_sphere():
@@ -242,8 +242,8 @@ def test_single_layer_network_equals_the_layer():
     params = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
     net_out, _ = network.network_forward(x, params, cfg)
-    layer_out, _ = network.manifold_layer_forward(x, params[0], cfg)
-    assert np.array_equal(net_out, layer_out)
+    layer_out, _ = network.manifold_layer_forward(x[None], params[0], cfg)
+    assert np.array_equal(net_out, layer_out[0])
 
 
 def test_zero_gain_network_is_the_identity():
@@ -431,6 +431,15 @@ def test_load_checkpoint_rejects_non_finite_values(tmp_path):
         doc["params"][0]["bias"][4] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidConfig):
+            network.load_checkpoint(path)
+
+
+def test_load_checkpoint_names_its_missing_keys(tmp_path):
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(1))
+    for keep in ({"model"}, {"model", "space", "params"}, set()):
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k in keep}))
+        absent = [k for k in ("model", "space", "layers", "params") if k not in keep]
+        with pytest.raises(InvalidConfig, match=re.escape(str(absent))):
             network.load_checkpoint(path)
 
 

@@ -68,6 +68,15 @@ def test_spec_validation():
         tiny_spec(seeds=())
 
 
+def test_spec_rejects_wrongly_typed_values():
+    for field, bad in (("manifold_layers", 5), ("classical_layers", [1.5]),
+                       ("seeds", [True]), ("seeds", "01"), ("p_train", "x"),
+                       ("p_test", 2.0), ("data_seed", None), ("train", 5),
+                       ("p_train", True)):
+        with pytest.raises(InvalidConfig, match=field):
+            tiny_spec(**{field: bad})
+
+
 def test_spec_dict_round_trip(tmp_path):
     spec = tiny_spec()
     assert sweep.spec_from_dict(spec.to_dict()) == spec

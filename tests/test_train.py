@@ -17,15 +17,16 @@ def small_datasets(p=8, seed=3, steps=64):
     return data.generate_dataset("exp1", p, p, seed=seed, steps=steps)
 
 
-GAIN_PARAMS = [network.ManifoldLayerParams(
-    gains=np.array([2.0, 0.0]), weights=np.zeros((2, 3)), biases=np.zeros(2))]
+# the flat parameter vector of one layer with gains (2, 0) and zero weights
+GAIN_THETA = network.flatten_params([network.ManifoldLayerParams(
+    gains=np.array([2.0, 0.0]), weights=np.zeros((2, 3)), biases=np.zeros(2))])
 
 
 # --- objective --------------------------------------------------------------
 
 def test_loss_is_zero_on_a_perfect_unregularized_fit():
     preds = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    value, r = grad.objective(preds, preds, GAIN_PARAMS, lam=0.0, dt=0.5)
+    value, r = grad.objective(preds, preds, GAIN_THETA, lam=0.0, dt=0.5)
     assert value == 0.0
     assert np.array_equal(r, np.zeros((2, 3)))
 
@@ -41,7 +42,7 @@ def test_loss_of_a_single_pair_is_its_squared_distance():
 def test_loss_regularizer_term():
     # ||Theta||^2 = 4, lam = 1, dt = 0.5: penalty is 1 * 0.5 / 2 * 4 = 1
     preds = np.array([[0.0, 0.0, 1.0]])
-    assert grad.objective(preds, preds, GAIN_PARAMS, lam=1.0, dt=0.5)[0] == 1.0
+    assert grad.objective(preds, preds, GAIN_THETA, lam=1.0, dt=0.5)[0] == 1.0
 
 
 def test_loss_averages_over_the_batch():
@@ -163,7 +164,8 @@ def test_first_row_describes_the_untouched_initialization():
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
     params = network.init_params(net_cfg, np.random.default_rng(5))
     out, _ = network.network_forward(train_ds.inputs, params, net_cfg)
-    expected = grad.objective(out, train_ds.targets, params, cfg.lam, net_cfg.dt)[0]
+    expected = grad.objective(out, train_ds.targets, network.flatten_params(params),
+                              cfg.lam, net_cfg.dt)[0]
     assert metrics.train_loss[0] == expected
     # the test rows ride along in the train pass; they must come out as
     # they would from a forward of their own
