@@ -9,7 +9,6 @@ metrics are still written).
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -17,19 +16,11 @@ import time
 import numpy as np
 
 from . import data, grad, lie, linalg, manifolds, network, sweep, train
-from .errors import DivergenceDetected, GeoResNetError, read_json_object
+from .errors import DivergenceDetected, GeoResNetError, read_json_object, write_json
 
 
 def _load_config(path):
     return {} if path is None else read_json_object(path)
-
-
-def _write_json(path, doc):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def cmd_gen_data(args):
@@ -47,10 +38,10 @@ def cmd_gen_data(args):
         if want_csv:
             data.save_dataset_csv(ds, os.path.join(args.out, f"{role}.csv"))
         print(f"{role}: {len(ds)} pairs on {ds.kind}, max defect {ds.max_defect():.3e}")
-    _write_json(os.path.join(args.out, "meta.json"), {
+    write_json(os.path.join(args.out, "meta.json"), {
         "command": "gen-data", "experiment": data.ode_by_id(args.experiment).id,
         "seed": args.seed, "p_train": p_train, "p_test": p_test, "steps": steps,
-    })
+    }, sort_keys=True)
     return 0
 
 
@@ -83,14 +74,14 @@ def cmd_train(args):
                             meta={"seed": cfg.seed, "status": status})
     mean_defect = train.mean_output_defect(test_ds.inputs, metrics.final_params,
                                            net_cfg)
-    _write_json(os.path.join(args.out, "meta.json"), {
+    write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),
         "train_config": cfg.to_dict(), "data": data_meta,
         "checkpoint": "checkpoint.json", "status": status,
         "epochs_recorded": len(metrics), "wall_time_s": round(metrics.wall_time, 3),
         "final_mean_test_defect": mean_defect,
-    })
+    }, sort_keys=True)
     if len(metrics):
         print(f"{args.model} {ode.id} M={args.layers}: "
               f"train {metrics.train_loss[-1]:.6g} test {metrics.test_loss[-1]:.6g} "
@@ -117,12 +108,12 @@ def cmd_sweep(args):
     started = time.perf_counter()
     results = sweep.run_sweep(spec, out_dir=args.out, workers=args.workers)
     sweep.save_spec(spec, os.path.join(args.out, "spec.json"))
-    _write_json(os.path.join(args.out, "meta.json"), {
+    write_json(os.path.join(args.out, "meta.json"), {
         "command": "sweep", "spec": spec.to_dict(),
         "wall_time_s": round(time.perf_counter() - started, 3),
         "cells": len(results),
         "diverged": sum(1 for r in results if r.status != "ok"),
-    })
+    }, sort_keys=True)
     for model in (network.CLASSICAL, network.MANIFOLD):
         for count, med in sweep.median_by_size(results, model).items():
             print(f"{model} @ {count} params: median test loss {med:.6g}")
@@ -215,10 +206,10 @@ def cmd_check(args):
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:.3e})")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, f"check-{args.suite}.json"), {
+        write_json(os.path.join(args.out, f"check-{args.suite}.json"), {
             "command": "check", "suite": args.suite, "seed": args.seed,
             "passed": failed == 0, "checks": report,
-        })
+        }, sort_keys=True)
     return 0 if failed == 0 else 1
 
 

@@ -12,14 +12,12 @@ Learning targets are the time-one maps: y = flow(x0) over t in [0, 1].
 """
 
 import csv
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import manifolds
-from .errors import InvalidConfig, read_json_object
+from .errors import InvalidConfig, read_json_object, replacing, write_json
 from .linalg import expm_skew3
 
 DEFAULT_STEPS = 2 ** 14
@@ -129,17 +127,12 @@ def generate_dataset(experiment, p_train, p_test, seed, steps=DEFAULT_STEPS):
 
 def save_dataset(ds, path):
     """JSON with a metadata block and pair arrays; floats round-trip bitwise."""
-    doc = {
+    write_json(path, {
         "kind": ds.kind,
         "metadata": ds.metadata,
-        "inputs": ds.inputs.tolist(),
-        "targets": ds.targets.tolist(),
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+        "inputs": ds.inputs,
+        "targets": ds.targets,
+    })
 
 
 def _pair_array(doc, name, shape, path):
@@ -189,10 +182,8 @@ def save_dataset_csv(ds, path):
     header = _component_names(ds.kind, "x0") + _component_names(ds.kind, "y")
     flat_in = ds.inputs.reshape(len(ds), -1)
     flat_tg = ds.targets.reshape(len(ds), -1)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for a, b in zip(flat_in, flat_tg):
             writer.writerow([repr(float(v)) for v in a] + [repr(float(v)) for v in b])
-    os.replace(tmp, path)

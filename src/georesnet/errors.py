@@ -1,7 +1,15 @@
-"""Exception types shared across the package, and the JSON reader that
-turns a malformed input file into one of them."""
+"""Exception types shared across the package, and its file I/O: the JSON
+reader that turns a malformed input file into one of them, and the
+atomic writers of every output file."""
 
+import contextlib
 import json
+import os
+
+import numpy as np
+
+ROWS_PER_BLOCK = 1024  # leading-axis items formatted per write of an array
+_MARK = "\0ndarray\0"  # what json writes in place of an array leaf
 
 
 class GeoResNetError(Exception):
@@ -31,6 +39,79 @@ def read_json_object(path):
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{path} must hold a JSON object")
     return doc
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text handle on {path}.tmp that replaces path when the block exits.
+
+    If the block raises, path keeps its previous contents.  newline=""
+    writes every line ending as given.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def _array(value):
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return value
+
+
+def write_json(path, doc, sort_keys=False):
+    """Write json.dump(doc, fh, indent=1, sort_keys=sort_keys) and a newline.
+
+    ndarray leaves are written as json writes their tolist(), in the
+    indentation json gives them, from a template built once per array
+    shape; json's indented encoder is pure Python and makes several
+    write calls per float.  The file replaces path only once complete.
+    """
+    arrays = []
+
+    def mark(value):
+        arrays.append(_array(value))
+        return _MARK
+
+    pieces = json.dumps(doc, indent=1, sort_keys=sort_keys, default=mark).split(
+        json.dumps(_MARK))
+    if len(pieces) != len(arrays) + 1:  # doc holds the mark as a string
+        pieces, arrays = [json.dumps(doc, indent=1, sort_keys=sort_keys,
+                                     default=lambda v: _array(v).tolist())], []
+    with replacing(path) as fh:
+        for text, array in zip(pieces, arrays):
+            fh.write(text)
+            line = text[text.rfind("\n") + 1:]
+            _write_array(fh, array, len(line) - len(line.lstrip(" ")))
+        fh.write(pieces[-1])
+        fh.write("\n")
+
+
+def _template(shape, level):
+    """%s slots laid out as json indents a nested list of this shape."""
+    if not shape:
+        return "%s"
+    pad = "\n" + " " * (level + 1)
+    return ("[" + pad + ("," + pad).join([_template(shape[1:], level + 1)] * shape[0])
+            + "\n" + " " * level + "]")
+
+
+def _write_array(fh, array, level):
+    """json's text of array.tolist() whose first line starts at this indent."""
+    if (array.dtype != np.float64 or array.ndim == 0 or array.size == 0
+            or not np.isfinite(array).all()):  # json spells NaN and Infinity
+        fh.write(json.dumps(array.tolist(), indent=1).replace("\n", "\n" + " " * level))
+        return
+    item = _template(array.shape[1:], level + 1)
+    pad = "\n" + " " * (level + 1)
+    fh.write("[" + pad)
+    for start in range(0, len(array), ROWS_PER_BLOCK):
+        block = array[start:start + ROWS_PER_BLOCK]
+        fh.write(("," + pad if start else "")
+                 + ("," + pad).join([item] * len(block))
+                 % tuple(map(float.__repr__, block.ravel().tolist())))
+    fh.write("\n" + " " * level + "]")
 
 
 def is_a(kind, value):

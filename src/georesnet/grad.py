@@ -150,9 +150,18 @@ def objective(outputs, targets, theta, lam, dt):
     return data + 0.5 * lam * dt * regularizer_norm(theta), r
 
 
+def _batch_forward(inputs, params, cfg):
+    """network_forward of a batch; objective would read a lone state's rows as samples."""
+    shape = manifolds.point_shape(cfg.space)
+    if np.shape(inputs)[1:] != shape:
+        raise InvalidConfig(f"inputs must be a batch of {cfg.space} points, shape (P,) + "
+                            f"{shape}, got {np.shape(inputs)}")
+    return network.network_forward(inputs, params, cfg)
+
+
 def network_loss(inputs, targets, params, cfg, lam):
     """Objective value of the network on a batch of inputs and targets."""
-    out = network.network_forward(inputs, params, cfg)[0]
+    out = _batch_forward(inputs, params, cfg)[0]
     return objective(out, targets, network.flatten_params(params), lam, cfg.dt)[0]
 
 
@@ -189,7 +198,7 @@ def network_gradient(inputs, targets, params, cfg, lam):
     The data term is (1/P) sum_j ||out_j - y_j||^2, so the output
     cotangent seeding the backward sweep is (2/P) (out - y).
     """
-    out, trace = network.network_forward(inputs, params, cfg)
+    out, trace = _batch_forward(inputs, params, cfg)
     loss, r = objective(out, targets, network.flatten_params(params), lam, cfg.dt)
     return loss, backward_from_trace(trace, params, (2.0 / len(r)) * r, lam)
 

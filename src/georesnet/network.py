@@ -19,16 +19,14 @@ baseline's flat ambient rows and back; the layer functions take batches in
 the form their model works on.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig, read_json_object
+from .errors import InvalidConfig, is_a, read_json_object, write_json
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
@@ -46,8 +44,8 @@ class NetworkConfig:
         if self.model not in MODELS:
             raise InvalidConfig(f"unknown model {self.model!r}; expected one of {MODELS}")
         manifolds.check_kind(self.space)
-        if not isinstance(self.layers, int) or self.layers < 1:
-            raise InvalidConfig("layers must be a positive integer")
+        if not is_a(int, self.layers) or self.layers < 1:
+            raise InvalidConfig(f"layers must be a positive integer, got {self.layers!r}")
 
     @property
     def dt(self):
@@ -270,16 +268,12 @@ def save_checkpoint(path, cfg, params, meta=None):
         "model": cfg.model,
         "space": cfg.space,
         "layers": cfg.layers,
-        "params": [{name: getattr(p, name).tolist() for name, _ in schema} for p in params],
+        "params": [{name: getattr(p, name) for name, _ in schema} for p in params],
         "meta": meta or {},
     }
     if cfg.model == MANIFOLD:
         doc["generators"] = [f.name for f in cfg.generators.fields]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, doc)
 
 
 def load_checkpoint(path):
@@ -293,7 +287,7 @@ def load_checkpoint(path):
     missing = [k for k in ("model", "space", "layers", "params") if k not in doc]
     if missing:
         raise InvalidConfig(f"checkpoint {path} lacks {missing}")
-    cfg = NetworkConfig(doc["model"], doc["space"], int(doc["layers"]))
+    cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
     if len(doc["params"]) != cfg.layers:
         raise InvalidConfig(f"checkpoint has {len(doc['params'])} layer entries "
                             f"for {cfg.layers} layers")

@@ -8,7 +8,6 @@ Cells are independent; a diverged cell is recorded with status
 "diverged" and skipped by the aggregation instead of aborting the sweep.
 """
 
-import json
 import numbers
 import os
 from dataclasses import dataclass
@@ -16,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, network, train
-from .errors import DivergenceDetected, InvalidConfig, is_a, read_json_object
+from .errors import (DivergenceDetected, InvalidConfig, is_a, read_json_object, replacing,
+                     write_json)
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -192,8 +192,7 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
 def write_results_csv(results, path):
     import csv
 
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in results:
@@ -202,7 +201,6 @@ def write_results_csv(results, path):
                 repr(float(r.final_train_loss)), repr(float(r.final_test_loss)),
                 repr(float(r.final_mean_defect)), r.status,
             ])
-    os.replace(tmp, path)
 
 
 def median_by_size(results, model, field="final_test_loss"):
@@ -323,19 +321,13 @@ def render_chart(results, path, title=""):
         parts.append(f'<text x="{width / 2}" y="{height - 8}" text-anchor="middle" '
                      f'font-size="12" fill="#555555">{title}</text>')
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts))
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def save_spec(spec, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, spec.to_dict())
 
 
 def load_spec(path):

@@ -14,14 +14,13 @@ DivergenceDetected carrying everything recorded so far.
 
 import csv
 import numbers
-import os
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, is_a
+from .errors import DivergenceDetected, InvalidConfig, is_a, replacing
 
 QUICK_EPOCHS = 2000
 
@@ -98,8 +97,7 @@ class RunMetrics:
 
     def to_csv(self, path):
         """Write the per-epoch series; floats as shortest exact decimals."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as fh:
+        with replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_COLUMNS)
             for i in range(len(self)):
@@ -110,7 +108,6 @@ class RunMetrics:
                     repr(float(self.test_loss[i])),
                     repr(float(self.max_defect[i])),
                 ])
-        os.replace(tmp, path)
 
 
 def lr_schedule(epoch, cfg):

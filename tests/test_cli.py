@@ -236,6 +236,36 @@ def test_sweep_reports_a_wrongly_typed_spec(tmp_path, capsys):
         assert err.startswith("error:") and field in err
 
 
+# --- JSON artifacts ---------------------------------------------------------
+
+def test_json_artifacts_keep_the_bytes_of_json_dump(tmp_path):
+    # the package writes array leaves itself; every JSON file must still be
+    # json.dump(doc, indent=1) and a newline, with sorted keys in meta.json only
+    inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+    inputs.mkdir()
+    gen = write_json(inputs / "gen.json", {"steps": 16})
+    fit = write_json(inputs / "train.json", {"epochs": 2})
+    for experiment in ("exp1", "exp2"):
+        root = outputs / experiment
+        assert cli.main(["gen-data", "--experiment", experiment, "--train-size", "5",
+                         "--test-size", "3", "--config", gen, "--out", str(root / "data")]) == 0
+        assert cli.main(["train", "--model", "manifold", "--experiment", experiment,
+                         "--layers", "2", "--data", str(root / "data"), "--config", fit,
+                         "--out", str(root / "train")]) == 0
+        spec = write_json(inputs / "spec.json", {
+            "experiment": experiment, "manifold_layers": [1], "classical_layers": [1],
+            "seeds": [0], "train": {"epochs": 2}, "p_train": 4, "p_test": 4})
+        assert cli.main(["sweep", "--config", spec, "--out", str(root / "sweep")]) == 0
+    paths = sorted(outputs.rglob("*.json"))
+    assert {p.name for p in paths} == {"train.json", "test.json", "checkpoint.json",
+                                       "spec.json", "meta.json"}
+    for path in paths:
+        text = path.read_text()
+        expected = json.dumps(json.loads(text), indent=1,
+                              sort_keys=path.name == "meta.json") + "\n"
+        assert text == expected, path
+
+
 # --- check ------------------------------------------------------------------
 
 def test_check_suites_pass_and_report(tmp_path, capsys):

@@ -218,6 +218,17 @@ def test_gradient_value_equals_loss_value():
     assert value == grad.network_loss(x, y, params, cfg, 1e-3)
 
 
+def test_loss_and_gradient_reject_a_lone_state():
+    # objective would read the coordinates of one state as three samples
+    for model in network.MODELS:
+        for space in manifolds.KINDS:
+            cfg, params, x, y = random_problem(model, space, 2, 1, 20)
+            for fn in (grad.network_loss, grad.network_gradient):
+                with pytest.raises(InvalidConfig, match="batch"):
+                    fn(x[0], y[0], params, cfg, 1e-3)
+                fn(x, y, params, cfg, 1e-3)  # the same state as a batch of one
+
+
 def test_manifold_network_gradient_matches_finite_differences():
     cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SPHERE2, 4, 8, 14)
     assert grad.finite_diff_check(params, cfg, x, y, lam=1e-3) <= 1e-5

@@ -69,6 +69,8 @@ def test_config_validation():
         network.NetworkConfig("resnet", manifolds.SPHERE2, 2)
     with pytest.raises(InvalidConfig):
         network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, 0)
+    with pytest.raises(InvalidConfig):
+        network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, True)
 
 
 def test_dt_is_derived_from_layers():
@@ -440,6 +442,14 @@ def test_load_checkpoint_names_its_missing_keys(tmp_path):
         path.write_text(json.dumps({k: v for k, v in doc.items() if k in keep}))
         absent = [k for k in ("model", "space", "layers", "params") if k not in keep]
         with pytest.raises(InvalidConfig, match=re.escape(str(absent))):
+            network.load_checkpoint(path)
+
+
+def test_load_checkpoint_requires_an_integer_layer_count(tmp_path):
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(1))
+    for layers in ("x", 2.7, 1.0, True, None, [1]):
+        path.write_text(json.dumps(dict(doc, layers=layers)))
+        with pytest.raises(InvalidConfig, match="layers"):
             network.load_checkpoint(path)
 
 
