@@ -45,12 +45,17 @@ def read_json_object(path):
 def replacing(path):
     """A text handle on {path}.tmp that replaces path when the block exits.
 
-    If the block raises, path keeps its previous contents.  newline=""
-    writes every line ending as given.
+    If the block raises, {path}.tmp is removed and path keeps its previous
+    contents.  newline="" writes every line ending as given.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        yield fh
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

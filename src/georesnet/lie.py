@@ -21,14 +21,11 @@ import numpy as np
 
 from . import manifolds
 from .errors import InvalidConfig
-from .linalg import skew_from_axial
+from .linalg import axial_from_skew, skew_from_axial
 
-# Relative singular-value cutoff for the numerical rank decision; relative
-# so that rescaling all generators leaves the decision unchanged.
+# Relative singular-value cutoff for the numerical rank decisions; relative
+# so that rescaling all generators leaves the decisions unchanged.
 RANK_CUTOFF = 1e-10
-
-# Normalized-distance threshold under which two fields count as duplicates.
-DEDUP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +64,6 @@ class GeneratorSet:
     @cached_property
     def axials(self):
         """Axial coordinates of the generators, one row per field."""
-        from .linalg import axial_from_skew
-
         out = axial_from_skew(self.matrices)
         out.flags.writeable = False
         return out
@@ -94,85 +89,47 @@ def lie_bracket_linear(f, g):
 
 
 def lie_hull(gens, depth):
-    """Generators plus iterated brackets up to the given depth.
+    """A basis of the span of the generators and their brackets up to depth.
 
-    Depth 0 returns the generators themselves.  Each level brackets all
-    pairs accumulated so far.  Fields that are numerically zero, or equal
-    to an existing one up to scale (sign included), are dropped: the hull
-    feeds a span computation, for which such elements are redundant.
+    Depth 0 spans the generators themselves.  Each level brackets all pairs
+    of the fields kept so far, and keeps a field only if it is linearly
+    independent of those before it: the hull feeds a span computation, and
+    without the test the sphere's hull grows 2, 6, 42, 1806 fields by depth 3.
     """
     if depth < 0:
         raise InvalidConfig("hull depth must be nonnegative")
     hull = []
-    scale = max(np.linalg.norm(f.matrix) for f in gens.fields)
     for f in gens.fields:
-        _append_novel(hull, f, scale * scale)
+        _append_independent(hull, f)
     for _ in range(depth):
         current = list(hull)
         for f in current:
             for g in current:
-                _append_novel(hull, lie_bracket_linear(f, g),
-                              np.linalg.norm(f.matrix) * np.linalg.norm(g.matrix))
+                _append_independent(hull, lie_bracket_linear(f, g))
     return hull
 
 
-def _append_novel(hull, candidate, zero_scale):
-    norm = np.linalg.norm(candidate.matrix)
-    if norm <= 1e-12 * max(zero_scale, 1e-300):
-        return
-    unit = candidate.matrix / norm
-    # canonical sign: first nonzero entry positive, so B and -B collide
-    flat = unit.ravel()
-    lead = flat[np.nonzero(np.abs(flat) > 1e-14)[0][0]]
-    if lead < 0:
-        unit = -unit
-    for existing in hull:
-        other = existing.matrix / np.linalg.norm(existing.matrix)
-        oflat = other.ravel()
-        olead = oflat[np.nonzero(np.abs(oflat) > 1e-14)[0][0]]
-        if olead < 0:
-            other = -other
-        if np.linalg.norm(unit - other) < DEDUP_TOL:
-            return
-    hull.append(candidate)
+def _rank(rows):
+    """Numerical rank: singular values above RANK_CUTOFF times the largest."""
+    sing = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(sing > RANK_CUTOFF * sing[0]))
 
 
-def field_values_at(fields, kind, point):
-    """Evaluate each field at a point, flattened to ambient coordinates."""
-    mats = np.stack([f.matrix for f in fields])
-    if kind == manifolds.SPHERE2:
-        return mats @ np.asarray(point, dtype=float)
-    return (mats @ np.asarray(point, dtype=float)).reshape(len(fields), 9)
+def _append_independent(hull, candidate):
+    """Append the field if it raises the rank of the flattened hull matrices."""
+    rows = np.stack([f.matrix.ravel() for f in (*hull, candidate)])
+    if _rank(rows) > len(hull):
+        hull.append(candidate)
 
 
 def bracket_generating_at(gens, point, depth=2):
     """Whether the hull fields span the full tangent space at the point.
 
     Evaluates every hull field at the point, stacks the (flattened) values
-    and compares their numerical rank, SVD singular values above
-    RANK_CUTOFF times the largest, with the manifold's tangent dimension.
+    and compares their numerical rank with the manifold's tangent dimension.
     """
     point = np.asarray(point, dtype=float)
     manifolds.check_on_manifold(gens.kind, point, "point")
-    rows = field_values_at(lie_hull(gens, depth), gens.kind, point)
-    sing = np.linalg.svd(rows, compute_uv=False)
-    if sing[0] == 0.0:
-        return False
-    rank = int(np.sum(sing > RANK_CUTOFF * sing[0]))
-    return rank == manifolds.tangent_dim(gens.kind)
-
-
-def verify_tangency(f, kind, point):
-    """Defect of tangency of a field value at a manifold point.
-
-    S2: |x^T B x|, which vanishes iff B x is orthogonal to x.  SO(3):
-    ||sym(X^T B X)||_F, which vanishes iff X^T B X is skew, i.e. iff B X
-    lies in the tangent space at X.  Zero for skew B in both cases.
-    """
-    point = np.asarray(point, dtype=float)
-    manifolds.check_on_manifold(kind, point, "point")
-    if kind == manifolds.SPHERE2:
-        return float(np.abs(point @ f.matrix @ point))
-    conj = point.T @ f.matrix @ point
-    sym = 0.5 * (conj + conj.T)
-    return float(np.linalg.norm(sym))
+    hull = lie_hull(gens, depth)
+    rows = (np.stack([f.matrix for f in hull]) @ point).reshape(len(hull), -1)
+    return _rank(rows) == manifolds.tangent_dim(gens.kind)

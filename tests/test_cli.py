@@ -283,3 +283,13 @@ def test_check_suites_pass_and_report(tmp_path, capsys):
 def test_check_runs_without_an_output_directory(capsys):
     assert cli.main(["check", "bracket"]) == 0
     assert "bracket generating" in capsys.readouterr().out
+
+
+def test_a_failing_check_exits_1_and_reports_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._SUITES, "bracket", lambda rng: [("always off", 1.0, 0.0)])
+    assert cli.main(["check", "bracket", "--out", str(tmp_path)]) == 1
+    assert "FAIL always off: 1.000e+00 (bound 0.000e+00)" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "check-bracket.json").read_text())
+    assert doc["passed"] is False
+    assert doc["checks"] == [{"name": "always off", "value": 1.0, "bound": 0.0,
+                              "passed": False}]

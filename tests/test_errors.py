@@ -76,10 +76,12 @@ def test_a_write_that_raises_leaves_the_previous_file(tmp_path):
     before = path.read_bytes()
     with pytest.raises(TypeError):
         write_json(path, {"new": np.zeros(4), "bad": object()})
+    assert not (tmp_path / "doc.json.tmp").exists()
     with pytest.raises(RuntimeError):
         with replacing(path) as fh:
             fh.write("partial")
             raise RuntimeError("interrupted")
+    assert not (tmp_path / "doc.json.tmp").exists()
     assert path.read_bytes() == before
 
 

@@ -273,18 +273,3 @@ def test_finite_diff_check_rejects_out_of_range_steps():
     for step in (1e-9, 1e-2):
         with pytest.raises(InvalidConfig):
             grad.finite_diff_check(params, cfg, x, y, lam=0.0, step=step)
-
-
-def test_gradient_check_over_mixed_configurations():
-    # both model families, both manifolds, shallow and deeper stacks
-    errs = []
-    seed = 100
-    for space in manifolds.KINDS:
-        for model in network.MODELS:
-            for layers in (1, 2, 4):
-                cfg, params, x, y = random_problem(model, space, layers, 3, seed)
-                errs.append(grad.finite_diff_check(params, cfg, x, y, lam=1e-3))
-                seed += 1
-    errs = np.asarray(errs)
-    assert errs.max() <= 1e-4
-    assert np.median(errs) <= 1e-6

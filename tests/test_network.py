@@ -322,12 +322,6 @@ def test_per_layer_parameter_counts():
     assert network.param_count(so3_cfg(1, network.CLASSICAL)) == 171
 
 
-def test_param_count_scales_linearly_with_depth():
-    for m in (2, 4, 8):
-        assert network.param_count(sphere_cfg(m)) == 10 * m
-        assert network.param_count(so3_cfg(m, network.CLASSICAL)) == 171 * m
-
-
 def test_param_count_matches_stored_scalars():
     rng = np.random.default_rng(17)
     for cfg in (sphere_cfg(3), sphere_cfg(2, network.CLASSICAL),
@@ -374,24 +368,6 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(network.flatten_params(params2),
                               network.flatten_params(params))
         assert meta == {"note": "test"}
-
-
-def test_checkpoint_scalar_count_matches_param_count(tmp_path):
-    rng = np.random.default_rng(20)
-    cfg = so3_cfg(2)
-    params = network.init_params(cfg, rng)
-    path = tmp_path / "ckpt.json"
-    network.save_checkpoint(path, cfg, params)
-    doc = json.loads(path.read_text())
-
-    def scalars(node):
-        if isinstance(node, list):
-            return sum(scalars(v) for v in node)
-        return 1
-
-    stored = sum(scalars(layer[field]) for layer in doc["params"]
-                 for field in layer)
-    assert stored == network.param_count(cfg)
 
 
 def test_checkpoint_records_generator_names(tmp_path):
