@@ -27,17 +27,18 @@ print(f"hull sizes: depth 0 -> {len(hull0)} fields, depth 1 -> {len(hull1)}\n")
 # axes; one bracket level repairs that everywhere
 north = np.array([0.0, 0.0, 1.0])
 print("at the north pole:")
-print(f"  depth 0 spanning: {lie.bracket_generating_at(gens, north, depth=0)}")
-print(f"  depth 1 spanning: {lie.bracket_generating_at(gens, north, depth=1)}")
+print(f"  depth 0 spanning: {lie.bracket_generating_at(gens, north[None], depth=0)[0]}")
+print(f"  depth 1 spanning: {lie.bracket_generating_at(gens, north[None], depth=1)[0]}")
 
+# one call per point set: the hull is built once and every point gets a verdict
 rng = np.random.default_rng(0)
 pts = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1000)
-ok = sum(lie.bracket_generating_at(gens, p, depth=1) for p in pts)
+ok = int(np.sum(lie.bracket_generating_at(gens, pts, depth=1)))
 print(f"\ndepth-1 spanning holds at {ok}/1000 random sphere points")
 
 gens3 = lie.standard_generators(manifolds.SO3)
 rots = manifolds.sample_uniform(manifolds.SO3, rng, 100)
-ok3 = sum(lie.bracket_generating_at(gens3, r, depth=0) for r in rots)
+ok3 = int(np.sum(lie.bracket_generating_at(gens3, rots, depth=0)))
 print(f"three generators span directly at {ok3}/100 random rotations")
 
 print("\nevery generator is skew, so its field B x (B X on SO(3)) is tangent")

@@ -10,6 +10,8 @@ training divergence (partial metrics are still written).
 """
 
 import argparse
+import dataclasses
+import numbers
 import os
 import sys
 import time
@@ -17,7 +19,7 @@ import time
 import numpy as np
 
 from . import data, grad, lie, linalg, manifolds, network, sweep, train
-from .errors import DivergenceDetected, GeoResNetError, read_json_object, write_json
+from .errors import GeoResNetError, InvalidConfig, is_a, read_json_object, write_json
 
 
 def _load_config(path):
@@ -25,12 +27,19 @@ def _load_config(path):
 
 
 def cmd_gen_data(args):
-    """Generate benchmark datasets.  Config keys: p_train, p_test, steps, csv."""
+    """Generate benchmark datasets.  Config keys: integers p_train, p_test, steps; bool csv."""
     cfg = _load_config(args.config)
-    p_train = int(cfg.get("p_train", args.train_size))
-    p_test = int(cfg.get("p_test", args.test_size))
-    steps = int(cfg.get("steps", data.DEFAULT_STEPS))
-    want_csv = bool(cfg.get("csv", args.csv))
+    unknown = set(cfg) - {"p_train", "p_test", "steps", "csv"}
+    if unknown:
+        raise InvalidConfig(f"unknown gen-data config keys: {sorted(unknown)}")
+    wrong = [key for key, value in cfg.items()
+             if not (isinstance(value, bool) if key == "csv" else is_a(numbers.Integral, value))]
+    if wrong:
+        raise InvalidConfig(f"wrongly typed gen-data config values: {wrong}")
+    p_train = cfg.get("p_train", args.train_size)
+    p_test = cfg.get("p_test", args.test_size)
+    steps = cfg.get("steps", data.DEFAULT_STEPS)
+    want_csv = cfg.get("csv", args.csv)
     train_ds, test_ds = data.generate_dataset(
         args.experiment, p_train, p_test, args.seed, steps=steps)
     os.makedirs(args.out, exist_ok=True)
@@ -62,19 +71,9 @@ def cmd_train(args):
     overrides = {"seed": args.seed} if args.seed is not None else {}
     cfg = train.config_from_dict(_load_config(args.config), **overrides)
     train_ds, test_ds, data_meta = _load_datasets(args, ode.id)
-    os.makedirs(args.out, exist_ok=True)
-    status, code = "ok", 0
-    try:
-        metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    except DivergenceDetected as err:
-        metrics, status, code = err.metrics, "diverged", 3
-        print(f"diverged: {err}", file=sys.stderr)
-    metrics.to_csv(os.path.join(args.out, "metrics.csv"))
-    ckpt = os.path.join(args.out, "checkpoint.json")
-    network.save_checkpoint(ckpt, net_cfg, metrics.final_params,
-                            meta={"seed": cfg.seed, "status": status})
-    mean_defect = train.mean_output_defect(test_ds.inputs, metrics.final_params,
-                                           net_cfg)
+    metrics, status, mean_defect = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
+    if status == "diverged":
+        print(f"diverged: non-finite loss at epoch {metrics.diverged_at}", file=sys.stderr)
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),
@@ -89,7 +88,7 @@ def cmd_train(args):
               f"defect {metrics.max_defect[-1]:.3e} [{status}]")
     else:
         print(f"{args.model} {ode.id} M={args.layers}: no epochs recorded [{status}]")
-    return code
+    return 3 if status == "diverged" else 0
 
 
 def cmd_sweep(args):
@@ -97,7 +96,7 @@ def cmd_sweep(args):
     if args.config:
         spec = sweep.load_spec(args.config)
         if args.seed is not None:
-            spec = sweep.spec_from_dict({**spec.to_dict(), "data_seed": args.seed})
+            spec = dataclasses.replace(spec, data_seed=args.seed)
     else:
         if not args.experiment:
             print("sweep needs --experiment or --config", file=sys.stderr)
@@ -161,11 +160,11 @@ def _suite_bracket(rng):
     checks.append(("[rot_z, rot_y] equals rot_x", exact, 0.0))
     gens = lie.standard_generators(manifolds.SPHERE2)
     pts = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1000)
-    bad = sum(1 for p in pts if not lie.bracket_generating_at(gens, p, depth=1))
+    bad = int(np.sum(~lie.bracket_generating_at(gens, pts, depth=1)))
     checks.append(("bracket generating on 1000 sphere points (depth 1)", bad, 0.0))
     gens3 = lie.standard_generators(manifolds.SO3)
     rots = manifolds.sample_uniform(manifolds.SO3, rng, 100)
-    bad3 = sum(1 for p in rots if not lie.bracket_generating_at(gens3, p, depth=0))
+    bad3 = int(np.sum(~lie.bracket_generating_at(gens3, rots, depth=0)))
     checks.append(("bracket generating on 100 rotations (depth 0)", bad3, 0.0))
     return checks
 

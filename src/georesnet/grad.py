@@ -150,57 +150,46 @@ def objective(outputs, targets, theta, lam, dt):
     return data + 0.5 * lam * dt * regularizer_norm(theta), r
 
 
-def _batch_forward(inputs, params, cfg):
-    """network_forward of a batch; objective would read a lone state's rows as samples."""
-    shape = manifolds.point_shape(cfg.space)
-    if np.shape(inputs)[1:] != shape:
-        raise InvalidConfig(f"inputs must be a batch of {cfg.space} points, shape (P,) + "
-                            f"{shape}, got {np.shape(inputs)}")
-    return network.network_forward(inputs, params, cfg)
-
-
 def network_loss(inputs, targets, params, cfg, lam):
     """Objective value of the network on a batch of inputs and targets."""
-    out = _batch_forward(inputs, params, cfg)[0]
+    out = network.network_forward(inputs, params, cfg)[0]
     return objective(out, targets, network.flatten_params(params), lam, cfg.dt)[0]
 
 
-def backward_from_trace(trace, params, upstream, lam):
-    """Backward sweep over a recorded forward pass.
+def backward_from_trace(trace, params, theta, upstream, lam):
+    """Backward sweep over a recorded forward pass, as one flat gradient.
 
+    params are the per-layer parameters the trace was recorded with and
+    theta the same values as one flat vector (network.flatten_params).
     upstream is the cotangent of the network output (already including
-    any batch-averaging factors), shaped like the output batch; the
-    result is the per-layer parameter gradient of data term plus
+    any batch-averaging factors), shaped like the output batch.  The
+    result is the gradient of the data term, laid out like theta, plus
     lam * dt * theta from the Tikhonov term.
     """
     cfg = trace.config
     upstream = upstream.reshape(trace.states.shape[1:])  # flat rows for the baseline
-    schema = network.layer_schema(cfg)[1]
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
-            upstream, g = manifold_layer_vjp(
+            upstream, grads[n] = manifold_layer_vjp(
                 trace.states[n], trace.gates[n], trace.axials[n],
                 params[n], cfg, upstream)
         else:
-            upstream, g = classical_layer_vjp(
+            upstream, grads[n] = classical_layer_vjp(
                 trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)
-        for name, _ in schema:
-            value = getattr(g, name)
-            value += lam * cfg.dt * getattr(params[n], name)
-        grads[n] = g
-    return grads
+    return network.flatten_params(grads) + lam * cfg.dt * theta
 
 
 def network_gradient(inputs, targets, params, cfg, lam):
-    """Loss and its exact gradient for a batch, as (loss, per-layer grads).
+    """Loss and its exact gradient for a batch, as (loss, flat gradient).
 
     The data term is (1/P) sum_j ||out_j - y_j||^2, so the output
     cotangent seeding the backward sweep is (2/P) (out - y).
     """
-    out, trace = _batch_forward(inputs, params, cfg)
-    loss, r = objective(out, targets, network.flatten_params(params), lam, cfg.dt)
-    return loss, backward_from_trace(trace, params, (2.0 / len(r)) * r, lam)
+    out, trace = network.network_forward(inputs, params, cfg)
+    theta = network.flatten_params(params)
+    loss, r = objective(out, targets, theta, lam, cfg.dt)
+    return loss, backward_from_trace(trace, params, theta, (2.0 / len(r)) * r, lam)
 
 
 def central_difference(fn, vec, step):
@@ -229,8 +218,7 @@ def finite_diff_check(params, cfg, inputs, targets, lam, step=3e-5):
     """
     if not 1e-8 <= step <= 1e-3:
         raise InvalidConfig("finite-difference step must lie in [1e-8, 1e-3]")
-    _, grads = network_gradient(inputs, targets, params, cfg, lam)
-    exact = network.flatten_params(grads)
+    exact = network_gradient(inputs, targets, params, cfg, lam)[1]
 
     def value(vec):
         return network_loss(inputs, targets, network.unflatten_params(vec, cfg),

@@ -110,9 +110,10 @@ def lie_hull(gens, depth):
 
 
 def _rank(rows):
-    """Numerical rank: singular values above RANK_CUTOFF times the largest."""
+    """Numerical rank of each matrix in a stack: singular values above
+    RANK_CUTOFF times the largest."""
     sing = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(sing > RANK_CUTOFF * sing[0]))
+    return np.sum(sing > RANK_CUTOFF * sing[..., :1], axis=-1)
 
 
 def _append_independent(hull, candidate):
@@ -122,14 +123,24 @@ def _append_independent(hull, candidate):
         hull.append(candidate)
 
 
-def bracket_generating_at(gens, point, depth=2):
-    """Whether the hull fields span the full tangent space at the point.
+def bracket_generating_at(gens, points, depth=2):
+    """Whether the hull fields span the full tangent space, at each point.
 
-    Evaluates every hull field at the point, stacks the (flattened) values
-    and compares their numerical rank with the manifold's tangent dimension.
+    points is a batch of manifold points; the result holds one verdict per
+    point.  The hull is built once; every hull field is evaluated at every
+    point, and the numerical rank of each point's stacked (flattened)
+    values is compared with the manifold's tangent dimension.  An empty
+    hull (all generators zero) spans nothing.
     """
-    point = np.asarray(point, dtype=float)
-    manifolds.check_on_manifold(gens.kind, point, "point")
+    points = np.asarray(points, dtype=float)
+    shape = manifolds.point_shape(gens.kind)
+    if points.shape[1:] != shape:
+        raise InvalidConfig(f"points must be a batch of {gens.kind} points, shape (P,) + "
+                            f"{shape}, got {points.shape}")
+    manifolds.check_on_manifold(gens.kind, points, "point")
     hull = lie_hull(gens, depth)
-    rows = (np.stack([f.matrix for f in hull]) @ point).reshape(len(hull), -1)
-    return _rank(rows) == manifolds.tangent_dim(gens.kind)
+    if not hull:
+        return np.zeros(len(points), dtype=bool)
+    # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3)
+    values = np.stack([f.matrix for f in hull]) @ points.reshape(len(points), 1, 3, -1)
+    return _rank(values.reshape(len(points), len(hull), -1)) == manifolds.tangent_dim(gens.kind)

@@ -12,11 +12,10 @@ the state can never leave the manifold, whatever the parameters.  The
 baseline is the standard residual step x_{N+1} = x_N + dt * A sigma(W x_N
 + b) on the flattened ambient state and has no such protection.
 
-Both nets take and return manifold points, (3,) on S2 and (3, 3) on SO(3),
-stacked on a leading axis.  network_forward is the only function that also
-accepts a single state, and the only one that turns points into the
-baseline's flat ambient rows and back; the layer functions take batches in
-the form their model works on.
+Both nets take and return batches of manifold points, (P, 3) on S2 and
+(P, 3, 3) on SO(3).  network_forward is the only function that turns points
+into the baseline's flat ambient rows and back; the layer functions take
+batches in the form their model works on.
 """
 
 import math
@@ -109,13 +108,6 @@ def sigmoid(z):
     return float(out) if z.ndim == 0 else out
 
 
-def _as_batch(value, item_ndim):
-    value = np.asarray(value, dtype=float)
-    if value.ndim == item_ndim:
-        return value[None], True
-    return value, False
-
-
 def _matmul_rows(a, b):
     """a @ b for a batch of rows a, each row rounded as in any other batch.
 
@@ -172,11 +164,13 @@ def classical_layer_forward(x, params, cfg):
 def network_forward(x0, params, cfg):
     """Compose all layers, recording a full trace.
 
-    x0 is one manifold point or a batch of them, for either model; params
-    is the per-layer list, whose length must equal cfg.layers.  The output
-    has the shape of x0.  Geometric inputs whose defect exceeds
-    manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
-    only manifold check on the way through the layers.
+    x0 is a batch of manifold points, for either model; a lone point
+    raises InvalidConfig, since the loss would read its coordinates as
+    samples.  params is the per-layer list, whose length must equal
+    cfg.layers.  The output has the shape of x0.  Geometric inputs whose
+    defect exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise
+    OffManifold; this is the only manifold check on the way through the
+    layers.
 
     The baseline works on flat ambient rows of length cfg.state_dim: the
     batch is flattened here on entry, the trace records the flat states,
@@ -185,9 +179,10 @@ def network_forward(x0, params, cfg):
     if len(params) != cfg.layers:
         raise InvalidConfig(f"expected {cfg.layers} layer params, got {len(params)}")
     shape = manifolds.point_shape(cfg.space)
-    x, single = _as_batch(x0, len(shape))
+    x = np.asarray(x0, dtype=float)
     if x.shape[1:] != shape:
-        raise InvalidConfig(f"{cfg.space} states must have shape {shape}")
+        raise InvalidConfig(f"inputs must be a batch of {cfg.space} points, shape (P,) + "
+                            f"{shape}, got {x.shape}")
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
         m = len(cfg.generators.fields)
@@ -203,16 +198,15 @@ def network_forward(x0, params, cfg):
         states[n + 1] = x
         for record, value in zip(records, values):
             record[n] = value
-    out = x.reshape((len(x),) + shape)
-    return (out[0] if single else out), ForwardTrace(cfg, states, *records)
+    return x.reshape((len(x),) + shape), ForwardTrace(cfg, states, *records)
 
 
 def layer_schema(cfg):
     """The stored layout of one layer: (dataclass, fields, init scale).
 
     fields pairs each dataclass field name with its per-layer shape, in
-    stored order; parameter counting, initialization, flattening,
-    checkpoints and the regularizer gradient all follow it.  init_scale
+    stored order; parameter counting, initialization, flattening and
+    checkpoints all follow it.  init_scale
     multiplies the uniform(-0.5, 0.5) initial draw: 1/sqrt(d) for the
     baseline, 1 for the geometric net.
     """

@@ -8,15 +8,15 @@ Cells are independent; a diverged cell is recorded with status
 "diverged" and skipped by the aggregation instead of aborting the sweep.
 """
 
+import csv
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import data, network, train
-from .errors import (DivergenceDetected, InvalidConfig, is_a, read_json_object, replacing,
-                     write_json)
+from .errors import InvalidConfig, is_a, read_json_object, replacing, write_json
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -47,28 +47,17 @@ class SweepSpec:
             wrong.append("train")
         if wrong:
             raise InvalidConfig(f"wrongly typed sweep spec values: {wrong}")
-        object.__setattr__(self, "manifold_layers",
-                           tuple(int(m) for m in self.manifold_layers))
-        object.__setattr__(self, "classical_layers",
-                           tuple(int(m) for m in self.classical_layers))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("manifold_layers", "classical_layers", "seeds"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         object.__setattr__(self, "train", dict(self.train or {}))
         if not self.manifold_layers or not self.classical_layers:
             raise InvalidConfig("layer lists must be nonempty")
         if not self.seeds:
             raise InvalidConfig("seeds must be nonempty")
+        train.config_from_dict(self.train)  # every cell's config, checked before any runs
 
     def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "manifold_layers": list(self.manifold_layers),
-            "classical_layers": list(self.classical_layers),
-            "seeds": list(self.seeds),
-            "train": dict(self.train),
-            "p_train": self.p_train,
-            "p_test": self.p_test,
-            "data_seed": self.data_seed,
-        }
+        return asdict(self)
 
 
 def spec_from_dict(doc):
@@ -108,44 +97,31 @@ class CellResult:
 
 def cell_order(spec):
     """Deterministic cell enumeration: classical first, then geometric."""
-    cells = []
-    for layers in spec.classical_layers:
-        for seed in spec.seeds:
-            cells.append((network.CLASSICAL, layers, seed))
-    for layers in spec.manifold_layers:
-        for seed in spec.seeds:
-            cells.append((network.MANIFOLD, layers, seed))
-    return cells
+    return [(model, layers, seed)
+            for model, grid in ((network.CLASSICAL, spec.classical_layers),
+                                (network.MANIFOLD, spec.manifold_layers))
+            for layers in grid for seed in spec.seeds]
 
 
-def run_cell(spec, datasets, model, layers, seed):
-    """Train one sweep cell; divergence becomes a status, not an exception."""
+def run_cell(spec, datasets, model, layers, seed, out_dir=None):
+    """Train one sweep cell; divergence becomes a status, not an exception.
+
+    With out_dir, the cell's run is written to
+    out_dir/cells/<model>-m<layers>-s<seed>/ (see train.run).
+    """
     train_ds, test_ds = datasets
     ode = data.ode_by_id(spec.experiment)
     net_cfg = network.NetworkConfig(model, ode.kind, layers)
     cfg = train.config_from_dict(spec.train, seed=seed)
-    try:
-        metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-        status = "ok"
-    except DivergenceDetected as err:
-        metrics = err.metrics
-        status = "diverged"
-    if status == "ok" and len(metrics):
-        final_train = float(metrics.train_loss[-1])
-        final_test = float(metrics.test_loss[-1])
-    else:
-        final_train = float("nan")
-        final_test = float("nan")
+    cell_dir = None if out_dir is None else os.path.join(
+        out_dir, "cells", f"{model}-m{layers}-s{seed}")
+    metrics, status, mean_defect = train.run(train_ds, test_ds, net_cfg, cfg, cell_dir)
+    finished = status == "ok" and len(metrics)
     return CellResult(
-        model=model, layers=layers, param_count=network.param_count(net_cfg),
-        seed=seed, final_train_loss=final_train, final_test_loss=final_test,
-        final_mean_defect=train.mean_output_defect(
-            test_ds.inputs, metrics.final_params, net_cfg),
-        status=status, metrics=metrics)
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
+        model=model, layers=layers, param_count=network.param_count(net_cfg), seed=seed,
+        final_train_loss=float(metrics.train_loss[-1]) if finished else float("nan"),
+        final_test_loss=float(metrics.test_loss[-1]) if finished else float("nan"),
+        final_mean_defect=mean_defect, status=status, metrics=metrics)
 
 
 def run_sweep(spec, out_dir=None, workers=1, datasets=None):
@@ -153,36 +129,25 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
 
     Datasets are generated once from (experiment, data_seed) unless an
     explicit (train, test) pair is passed.  With workers > 1 the cells
-    run in separate processes; results are reassembled in cell order, so
-    output files and aggregates do not depend on scheduling.
+    run in separate processes, each writing its own directory; results
+    come back in cell order, so output files and aggregates do not
+    depend on scheduling.
     """
     if datasets is None:
         datasets = data.generate_dataset(spec.experiment, spec.p_train,
                                          spec.p_test, spec.data_seed)
-    cells = cell_order(spec)
-    jobs = [(spec, datasets, model, layers, seed) for model, layers, seed in cells]
+    models, layers, seeds = zip(*cell_order(spec))
+    n = len(models)
+    jobs = ([spec] * n, [datasets] * n, models, layers, seeds, [out_dir] * n)
     if workers > 1:
         # imported only here: the process pool machinery is not needed otherwise
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_star, jobs))
+            results = list(pool.map(run_cell, *jobs))
     else:
-        results = [run_cell(*job) for job in jobs]
+        results = list(map(run_cell, *jobs))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        cells_dir = os.path.join(out_dir, "cells")
-        os.makedirs(cells_dir, exist_ok=True)
-        ode = data.ode_by_id(spec.experiment)
-        for res in results:
-            name = f"{res.model}-m{res.layers}-s{res.seed}"
-            cell_dir = os.path.join(cells_dir, name)
-            os.makedirs(cell_dir, exist_ok=True)
-            res.metrics.to_csv(os.path.join(cell_dir, "metrics.csv"))
-            net_cfg = network.NetworkConfig(res.model, ode.kind, res.layers)
-            network.save_checkpoint(
-                os.path.join(cell_dir, "checkpoint.json"), net_cfg,
-                res.metrics.final_params, meta={"seed": res.seed, "status": res.status})
         write_results_csv(results, os.path.join(out_dir, "sweep.csv"))
         render_chart(results, os.path.join(out_dir, "sweep.svg"),
                      title=f"{spec.experiment}: final loss vs parameter count")
@@ -190,8 +155,6 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
 
 
 def write_results_csv(results, path):
-    import csv
-
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)

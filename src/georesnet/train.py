@@ -9,11 +9,14 @@ descent plus momentum by default.  The step size starts large and decays
 by a fixed factor at preset epochs; the large initial step is part of the
 recipe (it hops over poor local minima early on), so non-finite losses
 are treated as a reportable outcome, not a crash: the loop raises
-DivergenceDetected carrying everything recorded so far.
+DivergenceDetected carrying everything recorded so far, and run, which
+trains and records every run of the CLI and the sweep, turns it into the
+status "diverged".
 """
 
 import csv
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -130,19 +133,6 @@ def prediction_defects(outputs, space):
     return manifolds.defect(space, outputs)
 
 
-def mean_output_defect(inputs, params, net_cfg):
-    """Mean manifold defect of the network's outputs on a batch of inputs.
-
-    Measured after a divergence too.  There the parameters are so large
-    that the overflow warnings en route are expected, and a layer state
-    that overflowed to NaN carries through to the outputs and makes the
-    mean NaN.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = network.network_forward(inputs, params, net_cfg)[0]
-        return float(np.mean(prediction_defects(out, net_cfg.space)))
-
-
 def _train_rows(trace, p_train):
     """The trace of the first p_train rows of a batch, as views."""
     return network.ForwardTrace(
@@ -216,17 +206,40 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             series["max_defect"].append(float(worst))
 
             if cfg.batch_size is None or cfg.batch_size >= p_train:
-                trace = _train_rows(trace, p_train)
-                grads = grad.backward_from_trace(trace, params, (2.0 / p_train) * r, cfg.lam)
-                flat[...], velocity = sgd_step(flat, network.flatten_params(grads),
-                                               velocity, lr, cfg.momentum)
+                g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
+                                             (2.0 / p_train) * r, cfg.lam)
+                flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
             else:
                 order = rng.permutation(p_train)
                 for lo in range(0, p_train, cfg.batch_size):
                     idx = order[lo:lo + cfg.batch_size]
-                    _, grads = grad.network_gradient(train_x[idx], train_y[idx],
-                                                     params, net_cfg, cfg.lam)
-                    flat[...], velocity = sgd_step(flat, network.flatten_params(grads),
-                                                   velocity, lr, cfg.momentum)
+                    g = grad.network_gradient(train_x[idx], train_y[idx], params,
+                                              net_cfg, cfg.lam)[1]
+                    flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
 
     return metrics()
+
+
+def run(train_ds, test_ds, net_cfg, cfg, out_dir=None):
+    """Train one net and record the run: (metrics, status, mean test defect).
+
+    status is "ok", or "diverged" when a loss stopped being finite; then
+    metrics holds the epochs recorded before it.  The mean defect is that
+    of the final net's outputs on the test inputs.  After a divergence the
+    parameters are so large that overflow en route is expected, and a
+    state that overflowed to NaN makes the mean NaN.  With out_dir, the
+    run writes metrics.csv and checkpoint.json there, the checkpoint's
+    meta holding the training seed and the status.
+    """
+    try:
+        metrics, status = train_loop(train_ds, test_ds, net_cfg, cfg), "ok"
+    except DivergenceDetected as err:
+        metrics, status = err.metrics, "diverged"
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
+        network.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), net_cfg,
+                                metrics.final_params, meta={"seed": cfg.seed, "status": status})
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = network.network_forward(test_ds.inputs, metrics.final_params, net_cfg)[0]
+        return metrics, status, float(np.mean(prediction_defects(out, net_cfg.space)))

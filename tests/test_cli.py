@@ -71,6 +71,19 @@ def test_gen_data_optional_csv_export(tmp_path):
     assert len(rows) == 1 + 6
 
 
+def test_gen_data_rejects_unknown_and_wrongly_typed_config_values(tmp_path, capsys):
+    for i, (bad, key) in enumerate((({"p_train": "x"}, "p_train"), ({"p_test": 2.7}, "p_test"),
+                                    ({"p_train": True}, "p_train"), ({"steps": 8.0}, "steps"),
+                                    ({"csv": "false"}, "csv"), ({"csv": 1}, "csv"),
+                                    ({"p_trian": 5}, "p_trian"))):
+        config = write_json(tmp_path / f"gen{i}.json", bad)
+        out = tmp_path / f"d{i}"
+        assert cli.main(gen_args(out, ["--config", config])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+
 def test_unknown_experiment_fails_cleanly(tmp_path, capsys):
     code = cli.main(["gen-data", "--experiment", "exp9",
                      "--out", str(tmp_path / "d")])
@@ -234,6 +247,30 @@ def test_sweep_reports_a_wrongly_typed_spec(tmp_path, capsys):
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+def test_train_and_a_sweep_cell_write_the_same_run(tmp_path):
+    # both record a run through train.run, so the same data, net and
+    # config give the same files, for a finished and a diverged run
+    for status, overrides, extra in (("ok", {"epochs": 5}, []),
+                                     ("diverged", {"epochs": 40, "lr0": 1e8}, ["--seed", "7"])):
+        root = tmp_path / status
+        root.mkdir()
+        config = write_json(root / "train.json", overrides)
+        code = cli.main(["train", "--model", "classical", "--experiment", "exp1",
+                         "--layers", "1", "--data-seed", "7", "--seed", "0",
+                         "--config", config, "--out", str(root / "train")])
+        assert code == (3 if status == "diverged" else 0)
+        # the diverged case sets the data seed with sweep --seed instead
+        spec = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
+                "seeds": [0], "train": overrides, "p_train": 100, "p_test": 100}
+        spec = write_json(root / "spec.json", spec if extra else {**spec, "data_seed": 7})
+        assert cli.main(["sweep", "--config", spec, *extra, "--out", str(root / "sweep")]) == 0
+        assert json.loads((root / "sweep" / "spec.json").read_text())["data_seed"] == 7
+        cell = root / "sweep" / "cells" / "classical-m1-s0"
+        assert network.load_checkpoint(cell / "checkpoint.json")[2]["status"] == status
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert (cell / name).read_bytes() == (root / "train" / name).read_bytes(), name
 
 
 # --- JSON artifacts ---------------------------------------------------------

@@ -181,10 +181,9 @@ def test_zero_residual_zero_lambda_gives_zero_everything():
                                           rng.standard_normal(2))
               for _ in range(3)]
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 5)
-    value, grads = grad.network_gradient(x, x, params, cfg, lam=0.0)
+    value, flat_grad = grad.network_gradient(x, x, params, cfg, lam=0.0)
     assert value == 0.0
-    assert np.array_equal(network.flatten_params(grads),
-                          np.zeros(network.param_count(cfg)))
+    assert np.array_equal(flat_grad, np.zeros(network.param_count(cfg)))
 
 
 def test_zero_residual_gradient_is_exactly_the_regularizer():
@@ -196,8 +195,9 @@ def test_zero_residual_gradient_is_exactly_the_regularizer():
               for _ in range(2)]
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
     lam = 0.35
-    _, grads = grad.network_gradient(x, x, params, cfg, lam=lam)
-    for p, g in zip(params, grads):
+    _, flat_grad = grad.network_gradient(x, x, params, cfg, lam=lam)
+    # per layer, in the stored field order: gains, weights, biases
+    for p, g in zip(params, network.unflatten_params(flat_grad, cfg)):
         assert np.array_equal(g.gains, lam * cfg.dt * p.gains)
         assert np.array_equal(g.weights, lam * cfg.dt * p.weights)
         assert np.array_equal(g.biases, lam * cfg.dt * p.biases)
@@ -241,8 +241,7 @@ def test_so3_network_gradient_matches_finite_differences():
 
 def test_directional_derivatives_agree_with_the_gradient():
     cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 16)
-    _, grads = grad.network_gradient(x, y, params, cfg, lam=1e-3)
-    flat_grad = network.flatten_params(grads)
+    _, flat_grad = grad.network_gradient(x, y, params, cfg, lam=1e-3)
     flat = network.flatten_params(params)
     rng = np.random.default_rng(17)
     eps = 1e-6

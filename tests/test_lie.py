@@ -117,35 +117,72 @@ def test_generating_at_north_pole_needs_the_bracket():
     assert np.array_equal(lie.ROT_Z.matrix @ E3, np.zeros(3))
     assert np.array_equal(lie.ROT_Y.matrix @ E3, [1.0, 0.0, 0.0])
     assert np.array_equal(lie.ROT_X.matrix @ E3, [0.0, -1.0, 0.0])
-    assert lie.bracket_generating_at(gens, E3, depth=1)
+    assert np.array_equal(lie.bracket_generating_at(gens, E3[None], depth=1), [True])
 
 
 def test_single_generator_is_never_generating():
     gens = lie.GeneratorSet((lie.ROT_Z,), manifolds.SPHERE2)
-    assert not lie.bracket_generating_at(gens, E1, depth=3)
+    assert not lie.bracket_generating_at(gens, np.stack([E1, E3]), depth=3).any()
 
 
 def test_rank_decision_survives_extreme_rescaling():
     rng = np.random.default_rng(6)
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
+    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 20)
     for scale in (1e-3, 1e3):
         gens = lie.GeneratorSet(
             tuple(lie.LinearField(scale * f.matrix) for f in
                   lie.standard_generators(manifolds.SPHERE2).fields),
             manifolds.SPHERE2)
-        assert lie.bracket_generating_at(gens, x, depth=1)
+        assert lie.bracket_generating_at(gens, x, depth=1).all()
 
 
 def test_generating_rejects_off_manifold_points():
     gens = lie.standard_generators(manifolds.SPHERE2)
     with pytest.raises(OffManifold):
-        lie.bracket_generating_at(gens, 1.5 * E1, depth=1)
+        lie.bracket_generating_at(gens, np.stack([E3, 1.5 * E1]), depth=1)
 
 
 def test_generating_rejects_non_finite_points():
     gens = lie.standard_generators(manifolds.SPHERE2)
     with pytest.raises(OffManifold):
-        lie.bracket_generating_at(gens, np.array([np.nan, 0.0, 1.0]), depth=1)
+        lie.bracket_generating_at(gens, np.array([[np.nan, 0.0, 1.0]]), depth=1)
+
+
+def test_generating_gives_one_verdict_per_point():
+    # at depth 0 the two sphere generators leave e3 short of a direction
+    # (the z field vanishes there) but span the tangent plane at e1
+    gens = lie.standard_generators(manifolds.SPHERE2)
+    pts = np.stack([E3, E1, E3])
+    assert np.array_equal(lie.bracket_generating_at(gens, pts, depth=0), [False, True, False])
+    assert np.array_equal(lie.bracket_generating_at(gens, pts, depth=1), [True, True, True])
+    with pytest.raises(InvalidConfig, match="batch"):
+        lie.bracket_generating_at(gens, E1, depth=1)
+
+
+def test_batched_verdicts_equal_the_per_point_rank():
+    # the reference is one rank decision per point, as a loop
+    rng = np.random.default_rng(9)
+    pair = lie.GeneratorSet((lie.ROT_Z, lie.ROT_Y), manifolds.SO3)
+    for gens in (lie.standard_generators(manifolds.SPHERE2), pair,
+                 lie.standard_generators(manifolds.SO3)):
+        pts = manifolds.sample_uniform(gens.kind, rng, 50)
+        if gens.kind == manifolds.SPHERE2:
+            pts = np.concatenate([pts, np.eye(3)])
+        for depth in (0, 1):
+            hull = np.stack([f.matrix for f in lie.lie_hull(gens, depth)])
+            expected = [lie._rank((hull @ p).reshape(len(hull), -1))
+                        == manifolds.tangent_dim(gens.kind) for p in pts]
+            assert np.array_equal(lie.bracket_generating_at(gens, pts, depth), expected)
+
+
+def test_zero_generators_span_nothing():
+    # an all-zero generator set has an empty hull, at any depth
+    for kind in manifolds.KINDS:
+        gens = lie.GeneratorSet((lie.LinearField(np.zeros((3, 3))),) * 2, kind)
+        pts = manifolds.sample_uniform(kind, np.random.default_rng(8), 3)
+        for depth in (0, 2):
+            assert lie.lie_hull(gens, depth) == []
+            assert np.array_equal(lie.bracket_generating_at(gens, pts, depth), [False] * 3)
 
 
 # --- tangency ---------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_constant_gate_layer_rotates_by_the_expected_angle():
 def test_layer_rejects_off_manifold_input():
     # the check sits at network entry; the layers themselves do not repeat it
     rng = np.random.default_rng(3)
-    for cfg, x in ((sphere_cfg(3), 2.0 * E1),
+    for cfg, x in ((sphere_cfg(3), 2.0 * E1[None]),
                    (so3_cfg(2), 2.0 * manifolds.sample_uniform(manifolds.SO3, rng, 4))):
         params = network.init_params(cfg, rng)
         with pytest.raises(OffManifold):
@@ -242,10 +242,22 @@ def test_single_layer_network_equals_the_layer():
     rng = np.random.default_rng(10)
     cfg = sphere_cfg(1)
     params = network.init_params(cfg, rng)
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng)
+    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
     net_out, _ = network.network_forward(x, params, cfg)
-    layer_out, _ = network.manifold_layer_forward(x[None], params[0], cfg)
-    assert np.array_equal(net_out, layer_out[0])
+    layer_out, _ = network.manifold_layer_forward(x, params[0], cfg)
+    assert np.array_equal(net_out, layer_out)
+
+
+def test_forward_rejects_a_lone_state():
+    # the loss would read the coordinates of one state as samples
+    rng = np.random.default_rng(17)
+    for model in network.MODELS:
+        for cfg in (sphere_cfg(2, model), so3_cfg(2, model)):
+            params = network.init_params(cfg, rng)
+            x = manifolds.sample_uniform(cfg.space, rng, 1)
+            with pytest.raises(InvalidConfig, match="batch"):
+                network.network_forward(x[0], params, cfg)
+            network.network_forward(x, params, cfg)  # the same state as a batch of one
 
 
 def test_zero_gain_network_is_the_identity():
@@ -303,14 +315,14 @@ def test_forward_checks_param_list_length():
     cfg = sphere_cfg(3)
     params = network.init_params(cfg, np.random.default_rng(15))
     with pytest.raises(InvalidConfig):
-        network.network_forward(E1, params[:2], cfg)
+        network.network_forward(E1[None], params[:2], cfg)
 
 
 def test_classical_forward_checks_state_width():
     cfg = so3_cfg(2, network.CLASSICAL)
     params = network.init_params(cfg, np.random.default_rng(16))
     with pytest.raises(InvalidConfig):
-        network.network_forward(np.zeros(3), params, cfg)
+        network.network_forward(np.zeros((2, 3)), params, cfg)
 
 
 # --- parameter counting and serialization ----------------------------------

@@ -77,6 +77,15 @@ def test_spec_rejects_wrongly_typed_values():
             tiny_spec(**{field: bad})
 
 
+def test_spec_checks_its_train_overrides():
+    # every cell builds its TrainConfig from these; a bad one fails when
+    # the spec is read, before any dataset is generated
+    for bad, word in (({"lr": 1}, "lr"), ({"epochs": 2.5}, "epochs"),
+                      ({"lr0": -1.0}, "lr0"), ({"decay_epochs": 500}, "decay_epochs")):
+        with pytest.raises(InvalidConfig, match=word):
+            tiny_spec(train=bad)
+
+
 def test_spec_dict_round_trip(tmp_path):
     spec = tiny_spec()
     assert sweep.spec_from_dict(spec.to_dict()) == spec
