@@ -9,8 +9,7 @@ measures how exactly the result stays a rotation across angle scales.
 
 import numpy as np
 
-from georesnet.linalg import (axial_from_skew, expm_dense, expm_skew3,
-                              skew_from_axial)
+from georesnet.linalg import expm_dense, expm_skew3, skew_from_axial
 from georesnet.manifolds import SO3, defect
 
 rng = np.random.default_rng(0)
@@ -18,9 +17,7 @@ rng = np.random.default_rng(0)
 print("axial vector (0, 0, 1) maps to the generator of rotation about z:")
 print(skew_from_axial(np.array([0.0, 0.0, 1.0])), "\n")
 
-w = rng.standard_normal(3)
-print(f"round trip through the skew form is exact: "
-      f"{np.array_equal(axial_from_skew(skew_from_axial(w)), w)}\n")
+rng.standard_normal(3)  # one unused draw, so the random axes below keep their values
 
 # a quarter turn about z sends e1 to e2
 quarter = expm_skew3(np.array([0.0, 0.0, np.pi / 2]))

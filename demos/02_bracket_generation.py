@@ -10,15 +10,17 @@ space at every point.
 import numpy as np
 
 from georesnet import lie, manifolds
+from georesnet.linalg import skew_from_axial
 
 print("bracket of the z and y rotation fields (computed as a commutator):")
-bracket = lie.lie_bracket_linear(lie.ROT_Z, lie.ROT_Y)
-print(bracket.matrix)
+bracket = lie.lie_bracket(lie.ROT_Z, lie.ROT_Y)
+# skew_from_axial negates zeros into -0.0; adding 0.0 prints them as 0.
+print(skew_from_axial(bracket) + 0.0)
 print(f"equals the x rotation field exactly: "
-      f"{np.array_equal(bracket.matrix, lie.ROT_X.matrix)}\n")
+      f"{np.array_equal(bracket, lie.ROT_X)}\n")
 
 gens = lie.standard_generators(manifolds.SPHERE2)
-print(f"sphere generators: {[f.name for f in gens.fields]}")
+print(f"sphere generators: {list(gens.names)}")
 hull0 = lie.lie_hull(gens, depth=0)
 hull1 = lie.lie_hull(gens, depth=1)
 print(f"hull sizes: depth 0 -> {len(hull0)} fields, depth 1 -> {len(hull1)}\n")
@@ -43,5 +45,5 @@ print(f"three generators span directly at {ok3}/100 random rotations")
 
 print("\nevery generator is skew, so its field B x (B X on SO(3)) is tangent")
 print("at every point, which is what keeps the flows on the manifold:")
-for f in gens3.fields:
-    print(f"  {f.name}: B + B^T == 0 exactly: {np.array_equal(f.matrix + f.matrix.T, np.zeros((3, 3)))}")
+for name, b in zip(gens3.names, skew_from_axial(gens3.axials)):
+    print(f"  {name}: B + B^T == 0 exactly: {np.array_equal(b + b.T, np.zeros((3, 3)))}")

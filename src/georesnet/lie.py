@@ -1,95 +1,78 @@
-"""Linear vector fields, Lie brackets, and the bracket-generating rank test.
+"""Rotation generators as axial vectors, their brackets, and the
+bracket-generating rank test.
 
-A linear field is x -> B x on the sphere; on SO(3) the same matrix acts by
-left multiplication, X -> B X.  Skew B makes the field tangent in both
-cases.
+A generator is held by its axial vector a; it acts as the field x ->
+skew(a) x on the sphere, or X -> skew(a) X on SO(3), which a skew matrix
+keeps tangent.  Fields become matrices only where they are evaluated.
 
 Bracket convention.  For fields f(x) = B x and g(x) = C x we define
 
     [f, g](x) = (C B - B C) x,
 
-i.e. the bracket's matrix is the commutator taken in the order CB - BC.
-Under this convention the three standard generators below close as
+the commutator in the order CB - BC.  With B = skew(a) and C = skew(b) that
+is skew(b x a): the bracket is a cross product, lie_bracket(a, b) =
+cross(b, a).  Under this convention the three standard generators close as
 [rot_z, rot_y] = rot_x (and cyclic); mind the order, the opposite
 convention flips every sign.  Spans, and hence the rank test, do not care.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import manifolds
 from .errors import InvalidConfig
-from .linalg import axial_from_skew, skew_from_axial
+from .linalg import skew_from_axial
 
 # Relative singular-value cutoff for the numerical rank decisions; relative
 # so that rescaling all generators leaves the decisions unchanged.
 RANK_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class LinearField:
-    """A matrix acting as a vector field (B x, or B X on SO(3))."""
-
-    matrix: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if self.matrix.shape != (3, 3):
-            raise InvalidConfig("linear fields are 3x3 matrices")
+def _read_only(values):
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """An ordered family of linear fields on one manifold."""
+    """Named generators on one manifold; axials is a read-only (m, 3) copy, a row per name."""
 
-    fields: tuple
+    names: tuple
+    axials: np.ndarray
     kind: str = manifolds.SPHERE2
 
     def __post_init__(self):
         manifolds.check_kind(self.kind)
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if not self.fields:
-            raise InvalidConfig("generator set must be nonempty")
-
-    @cached_property
-    def matrices(self):
-        """Stacked generator matrices, shape (m, 3, 3).  Do not mutate."""
-        out = np.stack([f.matrix for f in self.fields])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def axials(self):
-        """Axial coordinates of the generators, one row per field."""
-        out = axial_from_skew(self.matrices)
-        out.flags.writeable = False
-        return out
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "axials", _read_only(self.axials))
+        if not self.names or self.axials.shape != (len(self.names), 3):
+            raise InvalidConfig(f"generator set must be nonempty, with one axial row per "
+                                f"name; got {len(self.names)} names, axials {self.axials.shape}")
 
 
-ROT_Z = LinearField(skew_from_axial([0.0, 0.0, 1.0]), name="rot_z")
-ROT_Y = LinearField(skew_from_axial([0.0, 1.0, 0.0]), name="rot_y")
-ROT_X = LinearField(skew_from_axial([1.0, 0.0, 0.0]), name="rot_x")
+ROT_Z = _read_only([0.0, 0.0, 1.0])
+ROT_Y = _read_only([0.0, 1.0, 0.0])
+ROT_X = _read_only([1.0, 0.0, 0.0])
 
 
 def standard_generators(kind):
     """The benchmark generator sets: (rot_z, rot_y) on S2, all three on SO(3)."""
     manifolds.check_kind(kind)
     if kind == manifolds.SPHERE2:
-        return GeneratorSet((ROT_Z, ROT_Y), kind)
-    return GeneratorSet((ROT_Z, ROT_Y, ROT_X), kind)
+        return GeneratorSet(("rot_z", "rot_y"), (ROT_Z, ROT_Y), kind)
+    return GeneratorSet(("rot_z", "rot_y", "rot_x"), (ROT_Z, ROT_Y, ROT_X), kind)
 
 
-def lie_bracket_linear(f, g):
-    """Bracket of two linear fields; see the module docstring for the order."""
-    b, c = f.matrix, g.matrix
-    return LinearField(c @ b - b @ c)
+def lie_bracket(a, b):
+    """Axial vector of the bracket [a, b]; see the module docstring for the order."""
+    return np.cross(b, a)
 
 
 def lie_hull(gens, depth):
-    """A basis of the span of the generators and their brackets up to depth.
+    """A basis of the span of the generators and their brackets up to depth,
+    as axial rows, shape (h, 3).
 
     Depth 0 spans the generators themselves.  Each level brackets all pairs
     of the fields kept so far, and keeps a field only if it is linearly
@@ -99,14 +82,14 @@ def lie_hull(gens, depth):
     if depth < 0:
         raise InvalidConfig("hull depth must be nonnegative")
     hull = []
-    for f in gens.fields:
-        _append_independent(hull, f)
+    for a in gens.axials:
+        _append_independent(hull, a)
     for _ in range(depth):
         current = list(hull)
-        for f in current:
-            for g in current:
-                _append_independent(hull, lie_bracket_linear(f, g))
-    return hull
+        for a in current:
+            for b in current:
+                _append_independent(hull, lie_bracket(a, b))
+    return np.reshape(hull, (len(hull), 3))
 
 
 def _rank(rows):
@@ -117,9 +100,8 @@ def _rank(rows):
 
 
 def _append_independent(hull, candidate):
-    """Append the field if it raises the rank of the flattened hull matrices."""
-    rows = np.stack([f.matrix.ravel() for f in (*hull, candidate)])
-    if _rank(rows) > len(hull):
+    """Append the axial row if it raises the rank of the hull's rows."""
+    if _rank(np.stack((*hull, candidate))) > len(hull):
         hull.append(candidate)
 
 
@@ -130,7 +112,8 @@ def bracket_generating_at(gens, points, depth=2):
     point.  The hull is built once; every hull field is evaluated at every
     point, and the numerical rank of each point's stacked (flattened)
     values is compared with the manifold's tangent dimension.  An empty
-    hull (all generators zero) spans nothing.
+    hull (all generators zero) spans nothing, and an empty batch gets no
+    verdicts.
     """
     points = np.asarray(points, dtype=float)
     shape = manifolds.point_shape(gens.kind)
@@ -139,8 +122,8 @@ def bracket_generating_at(gens, points, depth=2):
                             f"{shape}, got {points.shape}")
     manifolds.check_on_manifold(gens.kind, points, "point")
     hull = lie_hull(gens, depth)
-    if not hull:
-        return np.zeros(len(points), dtype=bool)
-    # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3)
-    values = np.stack([f.matrix for f in hull]) @ points.reshape(len(points), 1, 3, -1)
-    return _rank(values.reshape(len(points), len(hull), -1)) == manifolds.tangent_dim(gens.kind)
+    # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3);
+    # sizes are explicit because -1 cannot be inferred for zero points
+    d = manifolds.ambient_dim(gens.kind)
+    values = skew_from_axial(hull) @ points.reshape(len(points), 1, 3, d // 3)
+    return _rank(values.reshape(len(points), len(hull), d)) == manifolds.tangent_dim(gens.kind)

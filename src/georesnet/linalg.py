@@ -36,14 +36,6 @@ def skew_from_axial(omega):
     return out
 
 
-def axial_from_skew(mat):
-    """Inverse of skew_from_axial; reads the three independent entries."""
-    mat = np.asarray(mat, dtype=float)
-    return np.stack(
-        [mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1
-    )
-
-
 def by_angle(theta, series, closed):
     """Evaluate a tuple of coefficient arrays on both sides of SMALL_ANGLE.
 

@@ -64,7 +64,7 @@ def defect(kind, value):
 
 def check_on_manifold(kind, value, what):
     """Raise OffManifold, naming the value what, if a point is off the manifold."""
-    worst = np.max(defect(kind, value))
+    worst = np.max(defect(kind, value), initial=0.0)  # an empty batch passes
     if not (worst <= ON_MANIFOLD_TOL):  # NaN fails this test too
         raise OffManifold(f"{what} defect {worst:.3e} exceeds {ON_MANIFOLD_TOL:.0e}")
 

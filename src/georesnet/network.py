@@ -185,7 +185,7 @@ def network_forward(x0, params, cfg):
                             f"{shape}, got {x.shape}")
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
-        m = len(cfg.generators.fields)
+        m = len(cfg.generators.axials)
         layer_forward, recorded = manifold_layer_forward, ((m,), (3,))
     else:
         x = x.reshape(len(x), cfg.state_dim)
@@ -211,7 +211,7 @@ def layer_schema(cfg):
     baseline, 1 for the geometric net.
     """
     if cfg.model == MANIFOLD:
-        m = len(cfg.generators.fields)
+        m = len(cfg.generators.axials)
         weights = (m,) + manifolds.point_shape(cfg.space)
         cls, shapes, scale = ManifoldLayerParams, ((m,), weights, (m,)), 1.0
     else:
@@ -266,7 +266,7 @@ def save_checkpoint(path, cfg, params, meta=None):
         "meta": meta or {},
     }
     if cfg.model == MANIFOLD:
-        doc["generators"] = [f.name for f in cfg.generators.fields]
+        doc["generators"] = list(cfg.generators.names)
     write_json(path, doc)
 
 

@@ -11,7 +11,7 @@ Cells are independent; a diverged cell is recorded with status
 import csv
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -61,10 +61,13 @@ class SweepSpec:
 
 
 def spec_from_dict(doc):
-    known = set(SweepSpec.__dataclass_fields__)
-    extra = set(doc) - known
+    fields = SweepSpec.__dataclass_fields__
+    extra = set(doc) - set(fields)
     if extra:
         raise InvalidConfig(f"unknown sweep spec keys: {sorted(extra)}")
+    missing = [name for name, f in fields.items() if f.default is MISSING and name not in doc]
+    if missing:
+        raise InvalidConfig(f"sweep spec lacks {missing}")
     return SweepSpec(**doc)
 
 

@@ -3,7 +3,8 @@
 One test per criterion; ``pytest -v tests/test_acceptance.py`` prints a
 pass/fail line for each, and ``-s`` adds the measured values behind every
 verdict.  Criteria 1-5 run the ``georesnet check`` suites, which are their
-only implementation: criteria 2 and 5 both run ``check integrator``.  The two size-economy orderings (criterion 7) run the full
+only implementation: criteria 2 and 5 share one run of ``check
+integrator``.  The two size-economy orderings (criterion 7) run the full
 benchmark sweep for both experiments and are the only slow tests here.
 """
 
@@ -42,12 +43,19 @@ def test_criterion_1_manifold_invariance(tmp_path):
     assert time.perf_counter() - started < 10.0
 
 
+# --- 2 and 5 share one run of `check integrator` -----------------------------
+
+@pytest.fixture(scope="module")
+def integrator_checks(tmp_path_factory):
+    return passed_check("integrator", tmp_path_factory.mktemp("integrator"))
+
+
 # --- 2: closed-form exponential against an independent oracle ---------------
 
-def test_criterion_2_exponential_map(tmp_path):
+def test_criterion_2_exponential_map(integrator_checks):
     # 1000 random axial vectors against the dense oracle, and the jump
     # across the series branch at SMALL_ANGLE, both at most 1e-12
-    names = passed_check("integrator", tmp_path)
+    names = integrator_checks
     assert "Rodrigues vs dense exponential (1000 samples)" in names
     assert "jump across the series branch" in names
 
@@ -72,11 +80,11 @@ def test_criterion_4_gradient_exactness(tmp_path):
 
 # --- 5: reference integrator converges at first order on clean data ---------
 
-def test_criterion_5_integrator_convergence(tmp_path):
+def test_criterion_5_integrator_convergence(integrator_checks):
     # from fixed starts, the errors at 2^10 and 2^11 steps against 2^14
     # have a ratio in [1.7, 2.3], and the datasets at the default data seed
     # sit within 1e-10 of the manifold
-    names = passed_check("integrator", tmp_path)
+    names = integrator_checks
     for experiment in ("exp1", "exp2"):
         assert f"{experiment} step-halving ratio minus 2 (2^10, 2^11 vs 2^14 steps)" in names
         assert f"{experiment} dataset defect (data seed {sweep.DEFAULT_DATA_SEED})" in names

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 import georesnet
-from georesnet import cli, data, network
+from georesnet import cli, data, network, sweep
 
 
 def write_json(path, doc):
@@ -247,6 +247,23 @@ def test_sweep_reports_a_wrongly_typed_spec(tmp_path, capsys):
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+def test_sweep_names_the_keys_a_spec_lacks(tmp_path, capsys):
+    config = write_json(tmp_path / "spec.json", {"experiment": "exp1", "seeds": [0]})
+    assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lacks ['manifold_layers', 'classical_layers']" in err
+
+
+def test_sweep_seed_overrides_the_data_seed_of_either_spec(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "run_sweep",
+                        lambda spec, out_dir, workers: os.makedirs(out_dir) or [])
+    config = write_json(tmp_path / "spec.json", sweep.default_spec("exp2").to_dict())
+    for source in (["--experiment", "exp2"], ["--config", config]):
+        out = tmp_path / source[0].strip("-")
+        assert cli.main(["sweep", *source, "--seed", "5", "--out", str(out)]) == 0
+        assert sweep.load_spec(out / "spec.json") == sweep.default_spec("exp2", data_seed=5)
 
 
 def test_train_and_a_sweep_cell_write_the_same_run(tmp_path):

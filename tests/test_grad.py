@@ -5,7 +5,7 @@ import pytest
 
 from georesnet import grad, manifolds, network
 from georesnet.errors import InvalidConfig
-from georesnet.linalg import SMALL_ANGLE, expm_skew3
+from georesnet.linalg import SMALL_ANGLE, expm_skew3, skew_from_axial
 
 
 def make_config(model, space, layers):
@@ -116,8 +116,8 @@ def test_manifold_vjp_at_zero_gains():
     assert np.allclose(x_cot, v, atol=1e-15)
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
-    for i, field in enumerate(cfg.generators.fields):
-        expected = cfg.dt * gate[0, i] * (v[0] @ (field.matrix @ x[0]))
+    for i, b in enumerate(skew_from_axial(cfg.generators.axials)):
+        expected = cfg.dt * gate[0, i] * (v[0] @ (b @ x[0]))
         assert np.isclose(g.gains[i], expected, atol=1e-14)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from georesnet import manifolds
-from georesnet.errors import InvalidConfig
+from georesnet.errors import InvalidConfig, OffManifold
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -39,6 +39,17 @@ def test_defect_batched():
     pts = np.stack([E1, 2.0 * E1, 3.0 * E1])
     assert np.allclose(manifolds.defect(manifolds.SPHERE2, pts),
                        [0.0, 1.0, 2.0], atol=1e-15)
+
+
+def test_on_manifold_check_passes_an_empty_batch_and_nothing_else_off():
+    for kind in manifolds.KINDS:
+        manifolds.check_on_manifold(kind, np.empty((0,) + manifolds.point_shape(kind)), "x")
+        good = manifolds.sample_uniform(kind, np.random.default_rng(3), 2)
+        for bad in (np.nan, np.inf, 2.0):
+            x = good.copy()
+            x[1] *= bad
+            with pytest.raises(OffManifold):
+                manifolds.check_on_manifold(kind, x, "x")
 
 
 # --- sample_uniform ---------------------------------------------------------

@@ -260,6 +260,16 @@ def test_forward_rejects_a_lone_state():
             network.network_forward(x, params, cfg)  # the same state as a batch of one
 
 
+def test_forward_maps_an_empty_batch_to_an_empty_batch():
+    rng = np.random.default_rng(18)
+    for model in network.MODELS:
+        for cfg in (sphere_cfg(2, model), so3_cfg(2, model)):
+            x = np.empty((0,) + manifolds.point_shape(cfg.space))
+            out, trace = network.network_forward(x, network.init_params(cfg, rng), cfg)
+            assert out.shape == x.shape
+            assert trace.states.shape[:2] == (3, 0)
+
+
 def test_zero_gain_network_is_the_identity():
     rng = np.random.default_rng(11)
     cfg = sphere_cfg(6)
