@@ -206,6 +206,8 @@ _SUITES = {
 
 def cmd_check(args):
     """Run a named validation suite with fixed seeds; nonzero exit on failure."""
+    if args.seed < 0:
+        raise InvalidConfig("seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     checks = _SUITES[args.suite](rng)
     report = []

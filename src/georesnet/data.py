@@ -114,6 +114,8 @@ def generate_dataset(experiment, p_train, p_test, seed, steps=DEFAULT_STEPS):
     """
     if p_train < 1 or p_test < 1:
         raise InvalidConfig("dataset sizes must be at least 1")
+    if seed < 0:
+        raise InvalidConfig("seed must be nonnegative")
     ode = ode_by_id(experiment)
     rng = np.random.default_rng(seed)
     x_train = manifolds.sample_uniform(ode.kind, rng, p_train)

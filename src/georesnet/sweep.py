@@ -54,6 +54,8 @@ class SweepSpec:
             raise InvalidConfig("layer lists must be nonempty")
         if not self.seeds:
             raise InvalidConfig("seeds must be nonempty")
+        if min(self.seeds) < 0 or self.data_seed < 0:
+            raise InvalidConfig("seeds and data_seed must be nonnegative")
         train.config_from_dict(self.train)  # every cell's config, checked before any runs
 
     def to_dict(self):
@@ -71,18 +73,16 @@ def spec_from_dict(doc):
     return SweepSpec(**doc)
 
 
-def default_spec(experiment, **overrides):
+def default_spec(experiment):
     """The benchmark grids.  Training defaults to quick mode (2000 epochs)
-    so a full sweep stays desk-scale; pass train={"epochs": 8000} for the
-    long schedule."""
+    so a full sweep stays desk-scale; dataclasses.replace with
+    train={"epochs": 8000} gives the long schedule."""
     ode = data.ode_by_id(experiment)
     if ode.id == "exp1":
         base = {"manifold_layers": (1, 2, 4, 8), "classical_layers": (1, 2, 4)}
     else:
         base = {"manifold_layers": (5, 10, 20), "classical_layers": (1, 2, 4, 8)}
-    base["train"] = {"epochs": train.QUICK_EPOCHS}
-    base.update(overrides)
-    return SweepSpec(experiment=ode.id, **base)
+    return SweepSpec(experiment=ode.id, train={"epochs": train.QUICK_EPOCHS}, **base)
 
 
 @dataclass

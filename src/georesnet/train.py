@@ -15,6 +15,7 @@ status "diverged".
 """
 
 import csv
+import math
 import numbers
 import os
 import time
@@ -53,8 +54,8 @@ class TrainConfig:
             wrong.append("decay_epochs")
         if wrong:
             raise InvalidConfig(f"wrongly typed config values: {wrong}")
-        if self.lr0 <= 0:
-            raise InvalidConfig("lr0 must be positive")
+        if not 0.0 < self.lr0 < math.inf:
+            raise InvalidConfig("lr0 must be finite and positive")
         if not 0.0 < self.decay_factor < 1.0:
             raise InvalidConfig("decay_factor must lie in (0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -63,8 +64,10 @@ class TrainConfig:
             raise InvalidConfig("epochs must be nonnegative")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidConfig("batch_size must be positive when given")
-        if self.lam < 0:
-            raise InvalidConfig("lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise InvalidConfig("lam must be finite and nonnegative")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be nonnegative")
         object.__setattr__(self, "decay_epochs",
                            tuple(sorted(int(e) for e in self.decay_epochs)))
 
@@ -155,6 +158,11 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     are bitwise those of two separate passes.  The parameters live in one
     flat vector, and params holds views into it, so each SGD step writes
     straight through to the layers.
+
+    One forward trace is alive at a time: the epoch's trace, outputs and
+    residual are dropped once the full-batch gradient is taken, or before
+    the minibatch steps record traces of their own, so the next forward
+    never allocates beside them.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
@@ -208,8 +216,10 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             if cfg.batch_size is None or cfg.batch_size >= p_train:
                 g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
                                              (2.0 / p_train) * r, cfg.lam)
+                del all_out, trace, r
                 flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
             else:
+                del all_out, trace, r
                 order = rng.permutation(p_train)
                 for lo in range(0, p_train, cfg.batch_size):
                     idx = order[lo:lo + cfg.batch_size]

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, and reproducibility."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -89,6 +90,13 @@ def test_unknown_experiment_fails_cleanly(tmp_path, capsys):
                      "--out", str(tmp_path / "d")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_data_rejects_a_negative_seed(tmp_path, capsys):
+    args = gen_args(tmp_path / "data")
+    args[args.index("--seed") + 1] = "-1"
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
 
 # --- train ------------------------------------------------------------------
@@ -183,6 +191,30 @@ def test_train_rejects_wrongly_typed_config_values(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_a_non_finite_step_size_or_penalty(tmp_path, capsys):
+    # json reads NaN and Infinity; neither may reach training, where it
+    # would read as a divergence (exit 3)
+    data_dir = make_data_dir(tmp_path)
+    capsys.readouterr()
+    for i, bad in enumerate(({"lr0": float("nan")}, {"lr0": float("inf")},
+                             {"lam": float("nan")}, {"lam": float("inf")})):
+        config = write_json(tmp_path / f"train{i}.json", bad)
+        code = cli.main(["train", "--model", "classical", "--experiment", "exp1",
+                         "--layers", "1", "--data", str(data_dir),
+                         "--config", config, "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{next(iter(bad))} must be finite" in err
+
+
+def test_train_rejects_a_negative_seed(tmp_path, capsys):
+    for flag in ("--seed", "--data-seed"):
+        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                         "--layers", "1", flag, "-1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
+
 def test_train_reports_a_malformed_json_config(tmp_path, capsys):
     data_dir = make_data_dir(tmp_path)
     capsys.readouterr()
@@ -263,7 +295,24 @@ def test_sweep_seed_overrides_the_data_seed_of_either_spec(tmp_path, monkeypatch
     for source in (["--experiment", "exp2"], ["--config", config]):
         out = tmp_path / source[0].strip("-")
         assert cli.main(["sweep", *source, "--seed", "5", "--out", str(out)]) == 0
-        assert sweep.load_spec(out / "spec.json") == sweep.default_spec("exp2", data_seed=5)
+        assert sweep.load_spec(out / "spec.json") == dataclasses.replace(
+            sweep.default_spec("exp2"), data_seed=5)
+
+
+def test_sweep_rejects_negative_seeds_and_non_finite_train_overrides(tmp_path, capsys):
+    base = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
+            "seeds": [0], "train": {"epochs": 1}, "p_train": 4, "p_test": 4}
+    bad_specs = ({**base, "seeds": [-1]}, {**base, "data_seed": -1},
+                 {**base, "train": {"lr0": float("nan")}},
+                 {**base, "train": {"lam": float("inf")}})
+    runs = [["--config", write_json(tmp_path / f"spec{i}.json", spec)]
+            for i, spec in enumerate(bad_specs)]
+    runs.append(["--experiment", "exp1", "--seed", "-1"])
+    for i, args in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["sweep", *args, "--out", str(out)]) == 1, args
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_train_and_a_sweep_cell_write_the_same_run(tmp_path):
@@ -337,6 +386,11 @@ def test_check_suites_pass_and_report(tmp_path, capsys):
 def test_check_runs_without_an_output_directory(capsys):
     assert cli.main(["check", "bracket"]) == 0
     assert "bracket generating" in capsys.readouterr().out
+
+
+def test_check_rejects_a_negative_seed(capsys):
+    assert cli.main(["check", "bracket", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
 
 def test_a_failing_check_exits_1_and_reports_it(tmp_path, capsys, monkeypatch):

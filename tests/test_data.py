@@ -193,6 +193,11 @@ def test_generate_dataset_rejects_empty_splits():
         data.generate_dataset("exp1", 4, 0, seed=0)
 
 
+def test_generate_dataset_rejects_a_negative_seed():
+    with pytest.raises(InvalidConfig, match="seed"):
+        data.generate_dataset("exp1", 4, 4, seed=-1)
+
+
 def test_dataset_defaults_to_the_reference_step_count():
     train, _ = data.generate_dataset("exp1", 2, 1, seed=9)
     assert train.metadata["steps"] == 2 ** 14

@@ -1,6 +1,7 @@
 """Sweep harness: grids, per-cell training, aggregation, and artifacts."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -52,8 +53,8 @@ def test_default_grid_parameter_counts():
     assert counts(s2, network.CLASSICAL, s2.classical_layers) == [171, 342, 684, 1368]
 
 
-def test_default_spec_accepts_overrides():
-    s = sweep.default_spec("exp1", seeds=(5,), p_train=10)
+def test_default_spec_variants_keep_the_default_grid():
+    s = dataclasses.replace(sweep.default_spec("exp1"), seeds=(5,), p_train=10)
     assert s.seeds == (5,)
     assert s.p_train == 10
     assert s.manifold_layers == (1, 2, 4, 8)
@@ -66,6 +67,10 @@ def test_spec_validation():
         tiny_spec(manifold_layers=())
     with pytest.raises(InvalidConfig):
         tiny_spec(seeds=())
+    with pytest.raises(InvalidConfig, match="nonnegative"):
+        tiny_spec(seeds=(0, -1))
+    with pytest.raises(InvalidConfig, match="nonnegative"):
+        tiny_spec(data_seed=-1)
 
 
 def test_spec_rejects_wrongly_typed_values():

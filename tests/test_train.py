@@ -1,6 +1,8 @@
 """Objective, schedule, optimizer step, and the training loop."""
 
 import csv
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,7 +111,11 @@ def test_train_config_validates_its_fields():
     for bad in (dict(lr0=0.0), dict(lr0=-1.0), dict(momentum=1.0),
                 dict(momentum=-0.1), dict(decay_factor=0.0),
                 dict(decay_factor=1.0), dict(epochs=-1),
-                dict(batch_size=0), dict(lam=-1e-3)):
+                dict(batch_size=0), dict(lam=-1e-3), dict(seed=-1),
+                # NaN fails every comparison and inf passes a sign check;
+                # either would train and read as a divergence
+                dict(lr0=math.nan), dict(lr0=math.inf), dict(lam=math.nan),
+                dict(lam=math.inf)):
         with pytest.raises(InvalidConfig):
             train.TrainConfig(**bad)
     assert train.TrainConfig(epochs=0).epochs == 0
@@ -278,6 +284,42 @@ def test_classical_model_trains_through_the_same_loop():
     assert np.all(np.isfinite(metrics.train_loss))
     # ambient updates drift off the sphere immediately
     assert metrics.max_defect[-1] > 0.0
+
+
+def spy_on_forward(monkeypatch):
+    """Wrap network.network_forward; the returned list gets, per call, the
+    number of earlier traces whose states are still alive as it starts."""
+    real = network.network_forward
+    states, alive = [], []
+
+    def forward(*args):
+        alive.append(sum(ref() is not None for ref in states))
+        out, trace = real(*args)
+        states.append(weakref.ref(trace.states))
+        return out, trace
+
+    monkeypatch.setattr(network, "network_forward", forward)
+    return alive
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+@pytest.mark.parametrize("model", network.MODELS)
+def test_full_batch_training_holds_one_forward_trace(monkeypatch, model, experiment):
+    train_ds, test_ds = data.generate_dataset(experiment, 6, 4, seed=3, steps=16)
+    net_cfg = network.NetworkConfig(model, train_ds.kind, 2)
+    alive = spy_on_forward(monkeypatch)
+    train.train_loop(train_ds, test_ds, net_cfg, train.TrainConfig(epochs=4, seed=0))
+    assert alive == [0] * 4
+
+
+def test_minibatch_training_holds_one_forward_trace(monkeypatch):
+    # one forward per epoch for the losses, then one per minibatch step
+    train_ds, test_ds = data.generate_dataset("exp2", 6, 4, seed=3, steps=16)
+    net_cfg = network.NetworkConfig(network.MANIFOLD, train_ds.kind, 2)
+    alive = spy_on_forward(monkeypatch)
+    train.train_loop(train_ds, test_ds, net_cfg,
+                     train.TrainConfig(epochs=3, batch_size=2, seed=0))
+    assert alive == [0] * (3 * (1 + 3))
 
 
 # --- metrics serialization --------------------------------------------------
