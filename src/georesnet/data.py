@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifolds
-from .errors import InvalidConfig, read_json_object, replacing, write_json
+from .errors import InvalidConfig, numeric_array, read_json_object, replacing, write_json
 from .linalg import expm_skew3
 
 DEFAULT_STEPS = 2 ** 14
@@ -138,10 +138,7 @@ def save_dataset(ds, path):
 
 
 def _pair_array(doc, name, shape, path):
-    try:
-        value = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError):  # ragged nesting or non-numbers
-        raise InvalidConfig(f"dataset {path}: {name} is not a numeric array") from None
+    value = numeric_array(doc[name], f"dataset {path}: {name}")
     if value.shape[1:] != shape:  # an empty list has shape (0,) and fails too
         raise InvalidConfig(f"dataset {path}: {name} must have shape (n,) + {shape}, "
                             f"got {value.shape}")

@@ -41,6 +41,14 @@ def read_json_object(path):
     return doc
 
 
+def numeric_array(value, what):
+    """value as a float array; InvalidConfig naming what if it is ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{what} is not a numeric array") from None
+
+
 @contextlib.contextmanager
 def replacing(path):
     """A text handle on {path}.tmp that replaces path when the block exits.

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig, is_a, read_json_object, write_json
+from .errors import InvalidConfig, is_a, numeric_array, read_json_object, write_json
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
@@ -273,25 +273,30 @@ def save_checkpoint(path, cfg, params, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint back as (config, params, meta).
 
-    Raises InvalidConfig unless the file holds model, space, layers and
-    params, there is one params entry per layer, and every entry holds
-    each field of the layer schema, at its shape, all finite.
+    Raises InvalidConfig naming the file unless it holds model, space,
+    layers and params, params is a list of one object per layer, and each
+    object holds every field of the layer schema, numeric, at its shape,
+    all finite.
     """
     doc = read_json_object(path)
     missing = [k for k in ("model", "space", "layers", "params") if k not in doc]
     if missing:
         raise InvalidConfig(f"checkpoint {path} lacks {missing}")
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
-    if len(doc["params"]) != cfg.layers:
-        raise InvalidConfig(f"checkpoint has {len(doc['params'])} layer entries "
-                            f"for {cfg.layers} layers")
+    entries = doc["params"]
+    if not (isinstance(entries, list) and len(entries) == cfg.layers
+            and all(isinstance(e, dict) for e in entries)):
+        raise InvalidConfig(f"checkpoint {path}: params must be a list of "
+                            f"{cfg.layers} objects, one per layer")
     cls, schema, _ = layer_schema(cfg)
     params = []
-    for n, entry in enumerate(doc["params"]):
-        values = [np.asarray(entry.get(name, ()), dtype=float) for name, _ in schema]
+    for n, entry in enumerate(entries):
+        where = f"checkpoint {path} layer {n}"
+        values = [numeric_array(entry.get(name, ()), f"{where}: {name!r}")
+                  for name, _ in schema]
         for value, (name, shape) in zip(values, schema):
             if value.shape != shape or not np.all(np.isfinite(value)):
-                raise InvalidConfig(f"checkpoint layer {n}: {name!r} must be finite "
+                raise InvalidConfig(f"{where}: {name!r} must be finite "
                                     f"with shape {shape}, got shape {value.shape}")
         params.append(cls(*values))
     return cfg, params, doc.get("meta", {})

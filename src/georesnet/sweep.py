@@ -48,7 +48,10 @@ class SweepSpec:
         if wrong:
             raise InvalidConfig(f"wrongly typed sweep spec values: {wrong}")
         for name in ("manifold_layers", "classical_layers", "seeds"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            values = tuple(int(v) for v in getattr(self, name))
+            if len(set(values)) < len(values):  # two cells would share one directory
+                raise InvalidConfig(f"{name} repeats an entry: {list(values)}")
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "train", dict(self.train or {}))
         if not self.manifold_layers or not self.classical_layers:
             raise InvalidConfig("layer lists must be nonempty")
@@ -132,16 +135,19 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
 
     Datasets are generated once from (experiment, data_seed) unless an
     explicit (train, test) pair is passed.  With workers > 1 the cells
-    run in separate processes, each writing its own directory; results
-    come back in cell order, so output files and aggregates do not
-    depend on scheduling.
+    run in separate processes, at most one per cell, each writing its own
+    directory; results come back in cell order, so output files and
+    aggregates do not depend on scheduling.
     """
+    if workers < 1:
+        raise InvalidConfig(f"workers must be at least 1, got {workers}")
     if datasets is None:
         datasets = data.generate_dataset(spec.experiment, spec.p_train,
                                          spec.p_test, spec.data_seed)
     models, layers, seeds = zip(*cell_order(spec))
     n = len(models)
     jobs = ([spec] * n, [datasets] * n, models, layers, seeds, [out_dir] * n)
+    workers = min(workers, n)  # a pool starts every worker at its first task
     if workers > 1:
         # imported only here: the process pool machinery is not needed otherwise
         from concurrent.futures import ProcessPoolExecutor

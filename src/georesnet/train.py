@@ -5,10 +5,10 @@ Training minimizes grad.objective,
     L = (1/P) sum_j ||x_M(x0_j) - y_j||^2 + (lam dt / 2) sum_N ||Theta_N||^2
 
 over the stacked per-layer parameters Theta_N, with full-batch gradient
-descent plus momentum by default.  The step size starts large and decays
-by a fixed factor at preset epochs; the large initial step is part of the
-recipe (it hops over poor local minima early on), so non-finite losses
-are treated as a reportable outcome, not a crash: the loop raises
+descent plus momentum.  The step size starts large and decays by a fixed
+factor at preset epochs; the large initial step is part of the recipe
+(it hops over poor local minima early on), so non-finite losses are
+treated as a reportable outcome, not a crash: the loop raises
 DivergenceDetected carrying everything recorded so far, and run, which
 trains and records every run of the CLI and the sweep, turns it into the
 status "diverged".
@@ -39,7 +39,6 @@ class TrainConfig:
     decay_factor: float = 0.8
     lam: float = 1e-3
     epochs: int = 8000
-    batch_size: int | None = None  # None means full batch
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class TrainConfig:
                  if not is_a(numbers.Real, getattr(self, name))]
         wrong += [name for name in ("epochs", "seed")
                   if not is_a(numbers.Integral, getattr(self, name))]
-        if not (self.batch_size is None or is_a(numbers.Integral, self.batch_size)):
-            wrong.append("batch_size")
         if not (isinstance(self.decay_epochs, (list, tuple))
                 and all(is_a(numbers.Integral, e) for e in self.decay_epochs)):
             wrong.append("decay_epochs")
@@ -62,8 +59,6 @@ class TrainConfig:
             raise InvalidConfig("momentum must lie in [0, 1)")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be nonnegative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidConfig("batch_size must be positive when given")
         if not 0.0 <= self.lam < math.inf:
             raise InvalidConfig("lam must be finite and nonnegative")
         if self.seed < 0:
@@ -160,20 +155,18 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     straight through to the layers.
 
     One forward trace is alive at a time: the epoch's trace, outputs and
-    residual are dropped once the full-batch gradient is taken, or before
-    the minibatch steps record traces of their own, so the next forward
+    residual are dropped once the gradient is taken, so the next forward
     never allocates beside them.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
-    rng = np.random.default_rng(cfg.seed)
-    flat = network.flatten_params(network.init_params(net_cfg, rng))
+    flat = network.flatten_params(
+        network.init_params(net_cfg, np.random.default_rng(cfg.seed)))
     params = network.unflatten_params(flat, net_cfg)
     velocity = np.zeros_like(flat)
 
-    train_x, train_y = train_ds.inputs, train_ds.targets
-    all_x = np.concatenate([train_x, test_ds.inputs])
-    p_train = train_x.shape[0]
+    all_x = np.concatenate([train_ds.inputs, test_ds.inputs])
+    p_train = len(train_ds)
 
     series = {name: [] for name in METRICS_COLUMNS}
     start = time.perf_counter()
@@ -197,7 +190,7 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             lr = lr_schedule(epoch, cfg)
 
             all_out, trace = network.network_forward(all_x, params, net_cfg)
-            train_loss, r = grad.objective(all_out[:p_train], train_y, flat,
+            train_loss, r = grad.objective(all_out[:p_train], train_ds.targets, flat,
                                            cfg.lam, net_cfg.dt)
             test_loss = grad.objective(all_out[p_train:], test_ds.targets, (), 0.0,
                                        net_cfg.dt)[0]
@@ -213,19 +206,10 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
             series["test_loss"].append(test_loss)
             series["max_defect"].append(float(worst))
 
-            if cfg.batch_size is None or cfg.batch_size >= p_train:
-                g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
-                                             (2.0 / p_train) * r, cfg.lam)
-                del all_out, trace, r
-                flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
-            else:
-                del all_out, trace, r
-                order = rng.permutation(p_train)
-                for lo in range(0, p_train, cfg.batch_size):
-                    idx = order[lo:lo + cfg.batch_size]
-                    g = grad.network_gradient(train_x[idx], train_y[idx], params,
-                                              net_cfg, cfg.lam)[1]
-                    flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
+            g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
+                                         (2.0 / p_train) * r, cfg.lam)
+            del all_out, trace, r
+            flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
 
     return metrics()
 

@@ -170,13 +170,15 @@ def test_train_geometric_divergence_exits_3_with_a_nan_defect(tmp_path):
     assert np.isnan(doc["final_mean_test_defect"])
 
 
-def test_train_rejects_unknown_config_keys(tmp_path):
+def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     data_dir = make_data_dir(tmp_path)
-    config = write_json(tmp_path / "train.json", {"learning_rate": 1.0})
-    code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
-                     "--layers", "1", "--data", str(data_dir),
-                     "--config", config, "--out", str(tmp_path / "run")])
-    assert code == 1
+    for i, bad in enumerate(({"learning_rate": 1.0}, {"batch_size": 3})):
+        config = write_json(tmp_path / f"train{i}.json", bad)
+        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                         "--layers", "1", "--data", str(data_dir),
+                         "--config", config, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unknown config keys")
 
 
 def test_train_rejects_wrongly_typed_config_values(tmp_path, capsys):

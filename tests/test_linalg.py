@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from georesnet import manifolds
 from georesnet.grad import _rotation_coeffs
 from georesnet.linalg import SMALL_ANGLE, _sinc_coeffs, expm_dense, expm_skew3, skew_from_axial
 
@@ -183,3 +187,27 @@ def test_dense_exp_agrees_with_scipy_on_general_matrices():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3))
     assert np.allclose(expm_dense(a), scipy.linalg.expm(a), atol=0, rtol=1e-12)
+
+
+# --- properties over axes and angles ----------------------------------------
+
+# unit axes, normalized from draws in the cube that keep clear of zero
+AXES = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) >= 0.1).map(lambda v: v / np.linalg.norm(v))
+# each side of the series/closed-form switch, of a half turn and of a full turn
+BRANCH_EDGES = [SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE * (1.0 + 1e-9),
+                np.pi - 1e-9, np.pi + 1e-9, 2.0 * np.pi - 1e-9, 2.0 * np.pi + 1e-9]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(axis=AXES, log_angle=st.floats(-8.0, 3.0))
+def test_exp_stays_on_so3_from_tiny_to_large_angles(axis, log_angle):
+    r = expm_skew3(10.0 ** log_angle * axis)
+    assert manifolds.defect(manifolds.SO3, r) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(axis=AXES, angle=st.sampled_from(BRANCH_EDGES))
+def test_exp_matches_the_dense_oracle_at_branch_edges(axis, angle):
+    w = angle * axis
+    assert np.max(np.abs(expm_skew3(w) - expm_dense(skew_from_axial(w)))) <= 1e-12

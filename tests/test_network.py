@@ -425,6 +425,22 @@ def test_load_checkpoint_rejects_a_missing_field_or_a_wrong_shape(tmp_path):
             network.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(params=5),
+    lambda doc: doc.update(params={"0": doc["params"][0]}),
+    lambda doc: doc.update(params=[[1, 2]]),
+    lambda doc: doc.update(params=[None]),
+    lambda doc: doc["params"][0].update(gains="ab"),
+    lambda doc: doc["params"][0].update(weights=[[0.1, 0.2, 0.3], [0.4]]),
+], ids=["number", "object", "list-entry", "null-entry", "text-field", "ragged-field"])
+def test_load_checkpoint_reports_malformed_params_naming_the_file(tmp_path, edit):
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(1))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidConfig, match="ckpt.json"):
+        network.load_checkpoint(path)
+
+
 def test_load_checkpoint_rejects_non_finite_values(tmp_path):
     for bad in (float("nan"), float("inf")):
         path, doc = saved_checkpoint(tmp_path, so3_cfg(1, network.CLASSICAL))

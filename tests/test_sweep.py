@@ -73,6 +73,15 @@ def test_spec_validation():
         tiny_spec(data_seed=-1)
 
 
+def test_spec_rejects_a_repeated_layer_count_or_seed():
+    # a repeat would train one cell directory twice, concurrently with
+    # workers > 1, and count its loss twice in the median
+    for field, bad in (("manifold_layers", (1, 2, 1)), ("classical_layers", [4, 4]),
+                       ("seeds", (0, 0, 1))):
+        with pytest.raises(InvalidConfig, match=field):
+            tiny_spec(**{field: bad})
+
+
 def test_spec_rejects_wrongly_typed_values():
     for field, bad in (("manifold_layers", 5), ("classical_layers", [1.5]),
                        ("seeds", [True]), ("seeds", "01"), ("p_train", "x"),
@@ -86,7 +95,8 @@ def test_spec_checks_its_train_overrides():
     # every cell builds its TrainConfig from these; a bad one fails when
     # the spec is read, before any dataset is generated
     for bad, word in (({"lr": 1}, "lr"), ({"epochs": 2.5}, "epochs"),
-                      ({"lr0": -1.0}, "lr0"), ({"decay_epochs": 500}, "decay_epochs")):
+                      ({"lr0": -1.0}, "lr0"), ({"decay_epochs": 500}, "decay_epochs"),
+                      ({"batch_size": 3}, "batch_size")):
         with pytest.raises(InvalidConfig, match=word):
             tiny_spec(train=bad)
 
@@ -175,6 +185,47 @@ def test_run_sweep_is_bitwise_reproducible(tmp_path):
     sweep.run_sweep(spec, out_dir=a, datasets=ds)
     sweep.run_sweep(spec, out_dir=b, datasets=ds)
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a ProcessPoolExecutor that records max_workers and maps serially."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_starts_no_more_workers_than_cells(pool_sizes):
+    spec = tiny_spec(seeds=(0,))  # two cells
+    ds = tiny_datasets(spec)
+    serial = sweep.run_sweep(spec, datasets=ds)
+    pooled = sweep.run_sweep(spec, workers=8, datasets=ds)
+    assert pool_sizes == [2]
+    assert [r.final_test_loss for r in pooled] == [r.final_test_loss for r in serial]
+
+
+def test_sweep_rejects_fewer_than_one_worker(pool_sizes):
+    spec = tiny_spec()
+    for workers in (0, -3):
+        with pytest.raises(InvalidConfig, match="workers"):
+            sweep.run_sweep(spec, workers=workers, datasets=tiny_datasets(spec))
+    assert pool_sizes == []
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

@@ -111,7 +111,7 @@ def test_train_config_validates_its_fields():
     for bad in (dict(lr0=0.0), dict(lr0=-1.0), dict(momentum=1.0),
                 dict(momentum=-0.1), dict(decay_factor=0.0),
                 dict(decay_factor=1.0), dict(epochs=-1),
-                dict(batch_size=0), dict(lam=-1e-3), dict(seed=-1),
+                dict(lam=-1e-3), dict(seed=-1),
                 # NaN fails every comparison and inf passes a sign check;
                 # either would train and read as a divergence
                 dict(lr0=math.nan), dict(lr0=math.inf), dict(lam=math.nan),
@@ -139,8 +139,10 @@ def test_config_from_dict_round_trips_and_rejects_unknowns():
     assert train.config_from_dict(cfg.to_dict()) == cfg
     assert train.config_from_dict({}, epochs=5).epochs == 5
     assert train.config_from_dict({"decay_epochs": [10, 20]}).decay_epochs == (10, 20)
-    with pytest.raises(InvalidConfig):
-        train.config_from_dict({"learning_rate": 1.0})
+    # training is full batch only; batch_size is not a key
+    for unknown in ({"learning_rate": 1.0}, {"batch_size": 3}):
+        with pytest.raises(InvalidConfig, match=next(iter(unknown))):
+            train.config_from_dict(unknown)
 
 
 # --- training loop ----------------------------------------------------------
@@ -231,48 +233,12 @@ def test_runaway_step_size_raises_with_partial_metrics():
     assert np.all(np.isfinite(metrics.train_loss))
 
 
-def test_runaway_minibatch_run_raises_with_partial_metrics():
-    # the first minibatch step overflows the parameters and the later
-    # minibatches of epoch 0 turn them NaN, so the loss of epoch 1 is
-    # non-finite
-    train_ds, test_ds = small_datasets()
-    cfg = train.TrainConfig(lr0=1e100, epochs=100, batch_size=3, seed=0)
-    with pytest.raises(DivergenceDetected) as info:
-        train.train_loop(train_ds, test_ds, sphere_config(2), cfg)
-    metrics = info.value.metrics
-    assert len(metrics) == metrics.diverged_at == 1
-    assert np.all(np.isfinite(metrics.train_loss))
-    assert np.all(np.isnan(network.flatten_params(metrics.final_params)))
-
-
 def test_off_manifold_inputs_are_not_reported_as_divergence():
     train_ds, test_ds = small_datasets()
     train_ds.inputs[0] = np.nan
     with pytest.raises(OffManifold):
         train.train_loop(train_ds, test_ds, sphere_config(2),
                          train.TrainConfig(epochs=3, seed=0))
-
-
-def test_minibatch_training_is_deterministic():
-    train_ds, test_ds = small_datasets()
-    net_cfg = sphere_config(2)
-    cfg = train.TrainConfig(epochs=10, batch_size=3, seed=2)
-    a = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    b = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    assert np.array_equal(a.train_loss, b.train_loss)
-    assert len(a) == 10
-
-
-def test_oversized_batch_size_falls_back_to_full_batch():
-    train_ds, test_ds = small_datasets()
-    net_cfg = sphere_config(2)
-    full = train.train_loop(train_ds, test_ds, net_cfg,
-                            train.TrainConfig(epochs=8, seed=4))
-    capped = train.train_loop(train_ds, test_ds, net_cfg,
-                              train.TrainConfig(epochs=8, seed=4, batch_size=999))
-    assert np.array_equal(full.train_loss, capped.train_loss)
-    assert np.array_equal(network.flatten_params(full.final_params),
-                          network.flatten_params(capped.final_params))
 
 
 def test_classical_model_trains_through_the_same_loop():
@@ -310,16 +276,6 @@ def test_full_batch_training_holds_one_forward_trace(monkeypatch, model, experim
     alive = spy_on_forward(monkeypatch)
     train.train_loop(train_ds, test_ds, net_cfg, train.TrainConfig(epochs=4, seed=0))
     assert alive == [0] * 4
-
-
-def test_minibatch_training_holds_one_forward_trace(monkeypatch):
-    # one forward per epoch for the losses, then one per minibatch step
-    train_ds, test_ds = data.generate_dataset("exp2", 6, 4, seed=3, steps=16)
-    net_cfg = network.NetworkConfig(network.MANIFOLD, train_ds.kind, 2)
-    alive = spy_on_forward(monkeypatch)
-    train.train_loop(train_ds, test_ds, net_cfg,
-                     train.TrainConfig(epochs=3, batch_size=2, seed=0))
-    assert alive == [0] * (3 * (1 + 3))
 
 
 # --- metrics serialization --------------------------------------------------
