@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import data, grad, lie, linalg, manifolds, network, sweep, train
-from .errors import GeoResNetError, InvalidConfig, is_a, read_json_object, write_json
+from .errors import GeoResNetError, InvalidConfig, check_keys, is_a, read_json_object, write_json
 
 
 def _load_config(path):
@@ -29,9 +29,7 @@ def _load_config(path):
 def cmd_gen_data(args):
     """Generate benchmark datasets.  Config keys: integers p_train, p_test, steps; bool csv."""
     cfg = _load_config(args.config)
-    unknown = set(cfg) - {"p_train", "p_test", "steps", "csv"}
-    if unknown:
-        raise InvalidConfig(f"unknown gen-data config keys: {sorted(unknown)}")
+    check_keys(cfg, "gen-data config", known=("p_train", "p_test", "steps", "csv"))
     wrong = [key for key, value in cfg.items()
              if not (isinstance(value, bool) if key == "csv" else is_a(numbers.Integral, value))]
     if wrong:
@@ -60,7 +58,8 @@ def _load_datasets(args, experiment):
         train_ds = data.load_dataset(os.path.join(args.data, "train.json"))
         test_ds = data.load_dataset(os.path.join(args.data, "test.json"))
         return train_ds, test_ds, {"source": args.data}
-    train_ds, test_ds = data.generate_dataset(experiment, 100, 100, args.data_seed)
+    train_ds, test_ds = data.generate_dataset(experiment, data.DEFAULT_PAIRS, data.DEFAULT_PAIRS,
+                                              args.data_seed)
     return train_ds, test_ds, {"source": "generated", "data_seed": args.data_seed}
 
 
@@ -73,7 +72,7 @@ def cmd_train(args):
     train_ds, test_ds, data_meta = _load_datasets(args, ode.id)
     metrics, status, mean_defect = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
     if status == "diverged":
-        print(f"diverged: non-finite loss at epoch {metrics.diverged_at}", file=sys.stderr)
+        print(f"diverged: non-finite loss at epoch {len(metrics)}", file=sys.stderr)
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),
@@ -191,7 +190,8 @@ def _suite_integrator(rng):
                                       steps=2 ** 12)
         checks.append((f"{ode.id} flow defect", float(np.max(
             manifolds.defect(ode.kind, flow))), 1e-12))
-        train_ds, test_ds = data.generate_dataset(ode.id, 100, 100, sweep.DEFAULT_DATA_SEED)
+        train_ds, test_ds = data.generate_dataset(ode.id, data.DEFAULT_PAIRS, data.DEFAULT_PAIRS,
+                                                  sweep.DEFAULT_DATA_SEED)
         checks.append((f"{ode.id} dataset defect (data seed {sweep.DEFAULT_DATA_SEED})",
                        max(train_ds.max_defect(), test_ds.max_defect()), 1e-10))
     return checks
@@ -234,8 +234,8 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate benchmark datasets")
     p.add_argument("--experiment", required=True, help="exp1 (sphere) or exp2 (rotations)")
-    p.add_argument("--train-size", type=int, default=100)
-    p.add_argument("--test-size", type=int, default=100)
+    p.add_argument("--train-size", type=int, default=data.DEFAULT_PAIRS)
+    p.add_argument("--test-size", type=int, default=data.DEFAULT_PAIRS)
     p.add_argument("--csv", action="store_true", help="also write flat CSV exports")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)

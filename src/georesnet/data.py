@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifolds
-from .errors import InvalidConfig, numeric_array, read_json_object, replacing, write_json
+from .errors import (InvalidConfig, check_keys, numeric_array, read_json_object, replacing,
+                     write_json)
 from .linalg import expm_skew3
 
+DEFAULT_PAIRS = 100  # in each of the train and test sets
 DEFAULT_STEPS = 2 ** 14
 HORIZON = (0.0, 1.0)
 
@@ -153,9 +155,7 @@ def load_dataset(path):
     and finite, and OffManifold if a point is off the manifold.
     """
     doc = read_json_object(path)
-    missing = [k for k in ("kind", "metadata", "inputs", "targets") if k not in doc]
-    if missing:
-        raise InvalidConfig(f"dataset {path} lacks {missing}")
+    check_keys(doc, f"dataset {path}", required=("kind", "metadata", "inputs", "targets"))
     kind = manifolds.check_kind(doc["kind"])
     shape = manifolds.point_shape(kind)
     inputs = _pair_array(doc, "inputs", shape, path)

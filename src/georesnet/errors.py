@@ -3,6 +3,7 @@ reader that turns a malformed input file into one of them, and the
 atomic writers of every output file."""
 
 import contextlib
+import itertools
 import json
 import os
 
@@ -41,12 +42,32 @@ def read_json_object(path):
     return doc
 
 
+def check_keys(doc, what, known=None, required=()):
+    """InvalidConfig naming what if doc has a key outside known, or lacks a required one."""
+    unknown = [] if known is None else sorted(set(doc) - set(known))
+    if unknown:
+        raise InvalidConfig(f"unknown {what} keys: {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise InvalidConfig(f"{what} lacks {missing}")
+
+
 def numeric_array(value, what):
-    """value as a float array; InvalidConfig naming what if it is ragged or not numeric."""
+    """value as a float array; InvalidConfig naming what if it is ragged or not numeric.
+
+    Every leaf must be a JSON number: numpy would also parse a string such
+    as "1e3", and read true as 1.0.
+    """
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{what} is not a numeric array") from None
+        array = np.asarray(value, dtype=float)
+        leaves = [value]
+        for _ in range(array.ndim):
+            leaves = itertools.chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= {float, int}:
+            return array
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        pass
+    raise InvalidConfig(f"{what} is not a numeric array")
 
 
 @contextlib.contextmanager

@@ -203,27 +203,27 @@ def central_difference(fn, vec, step):
     return out
 
 
-def finite_diff_check(params, cfg, inputs, targets, lam, step=3e-5):
+# The finite-difference step balances truncation against cancellation for
+# the objective, whose magnitude is O(10): the difference f(x+h) - f(x-h)
+# carries absolute noise around eps * |f| / h, so h = 1e-6 would bury small
+# gradient coordinates in rounding error (measured, not a gradient defect);
+# 3e-5 keeps both error sources near 1e-10.
+FINITE_DIFF_STEP = 3e-5
+
+
+def finite_diff_check(params, cfg, inputs, targets, lam):
     """Worst relative disagreement between exact and numerical gradients.
 
-    Central differences per scalar parameter; the relative error uses
-    max(|exact|, |numerical|, 1e-10) in the denominator so that zero
-    gradients do not blow up the ratio.
-
-    The default step balances truncation against cancellation for this
-    objective, whose magnitude is O(10): the difference f(x+h) - f(x-h)
-    carries absolute noise around eps * |f| / h, so h = 1e-6 would bury
-    small gradient coordinates in rounding error (measured, not a
-    gradient defect); 3e-5 keeps both error sources near 1e-10.
+    Central differences per scalar parameter, at FINITE_DIFF_STEP; the
+    relative error uses max(|exact|, |numerical|, 1e-10) in the
+    denominator so that zero gradients do not blow up the ratio.
     """
-    if not 1e-8 <= step <= 1e-3:
-        raise InvalidConfig("finite-difference step must lie in [1e-8, 1e-3]")
     exact = network_gradient(inputs, targets, params, cfg, lam)[1]
 
     def value(vec):
         return network_loss(inputs, targets, network.unflatten_params(vec, cfg),
                             cfg, lam)
 
-    numeric = central_difference(value, network.flatten_params(params), step)
+    numeric = central_difference(value, network.flatten_params(params), FINITE_DIFF_STEP)
     denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-10)
     return float(np.max(np.abs(exact - numeric) / denom))

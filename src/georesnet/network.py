@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig, is_a, numeric_array, read_json_object, write_json
+from .errors import InvalidConfig, check_keys, is_a, numeric_array, read_json_object, write_json
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
@@ -279,9 +279,7 @@ def load_checkpoint(path):
     all finite.
     """
     doc = read_json_object(path)
-    missing = [k for k in ("model", "space", "layers", "params") if k not in doc]
-    if missing:
-        raise InvalidConfig(f"checkpoint {path} lacks {missing}")
+    check_keys(doc, f"checkpoint {path}", required=("model", "space", "layers", "params"))
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
     entries = doc["params"]
     if not (isinstance(entries, list) and len(entries) == cfg.layers

@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass
 import numpy as np
 
 from . import data, network, train
-from .errors import InvalidConfig, is_a, read_json_object, replacing, write_json
+from .errors import InvalidConfig, check_keys, is_a, read_json_object, replacing, write_json
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -32,8 +32,8 @@ class SweepSpec:
     classical_layers: tuple
     seeds: tuple = DEFAULT_SEEDS
     train: dict = None          # TrainConfig overrides applied to every cell
-    p_train: int = 100
-    p_test: int = 100
+    p_train: int = data.DEFAULT_PAIRS
+    p_test: int = data.DEFAULT_PAIRS
     data_seed: int = DEFAULT_DATA_SEED
 
     def __post_init__(self):
@@ -67,12 +67,8 @@ class SweepSpec:
 
 def spec_from_dict(doc):
     fields = SweepSpec.__dataclass_fields__
-    extra = set(doc) - set(fields)
-    if extra:
-        raise InvalidConfig(f"unknown sweep spec keys: {sorted(extra)}")
-    missing = [name for name, f in fields.items() if f.default is MISSING and name not in doc]
-    if missing:
-        raise InvalidConfig(f"sweep spec lacks {missing}")
+    check_keys(doc, "sweep spec", known=fields,
+               required=[name for name, f in fields.items() if f.default is MISSING])
     return SweepSpec(**doc)
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, is_a, replacing
+from .errors import DivergenceDetected, InvalidConfig, check_keys, is_a, replacing
 
 QUICK_EPOCHS = 2000
 
@@ -72,17 +72,18 @@ class TrainConfig:
 
 def config_from_dict(doc, **overrides):
     """TrainConfig from a flat dict (e.g. a parsed JSON config file)."""
-    known = dict(doc or {})
-    known.update(overrides)
-    extra = set(known) - set(TrainConfig.__dataclass_fields__)
-    if extra:
-        raise InvalidConfig(f"unknown config keys: {sorted(extra)}")
-    return TrainConfig(**known)
+    values = {**(doc or {}), **overrides}
+    check_keys(values, "config", known=TrainConfig.__dataclass_fields__)
+    return TrainConfig(**values)
 
 
 @dataclass
 class RunMetrics:
-    """Per-epoch series plus the final parameters of one training run."""
+    """Per-epoch series plus the final parameters of one training run.
+
+    A run that diverged holds the epochs recorded before the non-finite
+    loss, so its length is the epoch at which it diverged.
+    """
 
     epoch: np.ndarray
     lr: np.ndarray
@@ -91,7 +92,6 @@ class RunMetrics:
     max_defect: np.ndarray
     final_params: list
     wall_time: float = 0.0
-    diverged_at: int | None = None
 
     def __len__(self):
         return len(self.epoch)
@@ -101,14 +101,8 @@ class RunMetrics:
         with replacing(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_COLUMNS)
-            for i in range(len(self)):
-                writer.writerow([
-                    int(self.epoch[i]),
-                    repr(float(self.lr[i])),
-                    repr(float(self.train_loss[i])),
-                    repr(float(self.test_loss[i])),
-                    repr(float(self.max_defect[i])),
-                ])
+            for epoch, *values in zip(*(getattr(self, name) for name in METRICS_COLUMNS)):
+                writer.writerow([int(epoch)] + [repr(float(v)) for v in values])
 
 
 def lr_schedule(epoch, cfg):
@@ -136,6 +130,13 @@ def _train_rows(trace, p_train):
     return network.ForwardTrace(
         trace.config, trace.states[:, :p_train], trace.gates[:, :p_train],
         None if trace.axials is None else trace.axials[:, :p_train])
+
+
+def _run_metrics(rows, params, start):
+    """RunMetrics of the recorded rows (one per epoch, in METRICS_COLUMNS order)."""
+    epoch, *series = rows.T
+    return RunMetrics(epoch.astype(int), *series, final_params=params,
+                      wall_time=time.perf_counter() - start)
 
 
 def train_loop(train_ds, test_ds, net_cfg, cfg):
@@ -168,20 +169,8 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     all_x = np.concatenate([train_ds.inputs, test_ds.inputs])
     p_train = len(train_ds)
 
-    series = {name: [] for name in METRICS_COLUMNS}
+    rows = np.empty((cfg.epochs, len(METRICS_COLUMNS)))
     start = time.perf_counter()
-
-    def metrics(diverged_at=None):
-        return RunMetrics(
-            epoch=np.asarray(series["epoch"], dtype=int),
-            lr=np.asarray(series["lr"], dtype=float),
-            train_loss=np.asarray(series["train_loss"], dtype=float),
-            test_loss=np.asarray(series["test_loss"], dtype=float),
-            max_defect=np.asarray(series["max_defect"], dtype=float),
-            final_params=params,
-            wall_time=time.perf_counter() - start,
-            diverged_at=diverged_at,
-        )
 
     # A diverging run overflows on its way to the explicit non-finite check
     # below; the intermediate overflow warnings carry no extra information.
@@ -196,22 +185,17 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
                                        net_cfg.dt)[0]
 
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-                raise DivergenceDetected(
-                    f"non-finite loss at epoch {epoch}", metrics(diverged_at=epoch))
-
-            worst = np.max(prediction_defects(all_out, net_cfg.space))
-            series["epoch"].append(epoch)
-            series["lr"].append(lr)
-            series["train_loss"].append(train_loss)
-            series["test_loss"].append(test_loss)
-            series["max_defect"].append(float(worst))
+                raise DivergenceDetected(f"non-finite loss at epoch {epoch}",
+                                         _run_metrics(rows[:epoch], params, start))
+            rows[epoch] = (epoch, lr, train_loss, test_loss,
+                           np.max(prediction_defects(all_out, net_cfg.space)))
 
             g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
                                          (2.0 / p_train) * r, cfg.lam)
             del all_out, trace, r
             flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
 
-    return metrics()
+    return _run_metrics(rows, params, start)
 
 
 def run(train_ds, test_ds, net_cfg, cfg, out_dir=None):

@@ -11,7 +11,11 @@ import importlib.util
 import json
 import os
 
-from georesnet import cli
+import numpy as np
+import pytest
+
+from georesnet import cli, data, manifolds, network, train
+from georesnet.errors import DivergenceDetected
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -65,3 +69,24 @@ def test_every_traced_writer_counts_the_bytes_it_wrote(tmp_path):
     for metric in ("data.save_dataset.bytes", "data.save_dataset_csv.bytes",
                    "data.load_dataset.bytes", "sweep.write.bytes", "cli.write.bytes"):
         assert metrics[metric] > 0, metric
+
+
+def test_a_diverging_train_loop_raises_one_row_per_epoch_before_the_non_finite_loss(
+        monkeypatch):
+    # the tracer counts a train_loop's epochs as the rows of the RunMetrics it
+    # returns or raises; a diverged epoch runs a forward but records no row
+    tracer = load_tracer()
+    forward = network.network_forward
+    forwards = []
+    monkeypatch.setattr(network, "network_forward",
+                        lambda *args: forwards.append(1) or forward(*args))
+    train_ds, test_ds = data.generate_dataset("exp1", 8, 8, seed=3, steps=64)
+    net_cfg = network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, 2)
+    cfg = train.TrainConfig(lr0=1e8, epochs=100)
+    with pytest.raises(DivergenceDetected) as info:
+        train.train_loop(train_ds, test_ds, net_cfg, cfg)
+    metrics = info.value.metrics
+    assert isinstance(metrics, train.RunMetrics)
+    assert 0 < len(forwards) - 1 == len(metrics) < cfg.epochs
+    assert np.array_equal(metrics.epoch, np.arange(len(metrics)))
+    assert tracer._epochs((), {}, info.value) == len(metrics)

@@ -262,6 +262,21 @@ def test_load_dataset_rejects_non_finite_values(tmp_path):
         rejects(path, doc)
 
 
+def test_load_dataset_rejects_numbers_written_as_text_or_booleans(tmp_path):
+    # numpy would read "1.0" as 1.0 and true as 1.0, and each point is on its manifold
+    def spelled(point, spell):
+        return [spelled(v, spell) for v in point] if isinstance(point, list) else spell(point)
+
+    for experiment, point in (("exp1", [1.0, 0.0, 0.0]), ("exp2", np.eye(3).tolist())):
+        for spell in (repr, bool):
+            for name in ("inputs", "targets"):
+                path, doc = saved_dataset(tmp_path, experiment)
+                doc[name][0] = spelled(point, spell)
+                path.write_text(json.dumps(doc))
+                with pytest.raises(InvalidConfig, match="not a numeric array"):
+                    data.load_dataset(path)
+
+
 def test_load_dataset_rejects_off_manifold_points(tmp_path):
     for experiment in ("exp1", "exp2"):
         path, doc = saved_dataset(tmp_path, experiment)

@@ -40,7 +40,7 @@ def target(tmp_path_factory):
     return tmp_path_factory.mktemp("write_json") / "doc.json"
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(doc=DOCS, sort_keys=st.booleans())
 def test_write_json_writes_the_bytes_of_json_dump(target, doc, sort_keys):
     write_json(target, doc, sort_keys=sort_keys)

@@ -1,11 +1,15 @@
 """Reverse-mode gradients checked against independent finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from georesnet import grad, manifolds, network
 from georesnet.errors import InvalidConfig
-from georesnet.linalg import SMALL_ANGLE, expm_skew3, skew_from_axial
+from georesnet.linalg import SMALL_ANGLE, axial_norm, expm_skew3, skew_from_axial
 
 
 def make_config(model, space, layers):
@@ -171,6 +175,85 @@ def test_classical_vjp_matches_finite_differences():
     assert grad.finite_diff_check(params, cfg, x, y, lam=0.0) <= 1e-6
 
 
+# --- layer VJPs at saturated gates and at the exponential's branch edges -----
+
+# every gate's pre-activation z has |z| in this range: sigma(z) is within
+# 1e-13 of 0 or 1, and sigma'(z) is as small
+SATURATED = st.lists(st.tuples(st.booleans(), st.floats(30.0, 60.0)), min_size=9, max_size=9)
+# each side of the series/closed-form switch and of a half turn
+ANGLE_EDGES = [SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE * (1.0 + 1e-9),
+               np.pi - 1e-9, np.pi + 1e-9]
+LAYERS = st.sampled_from((1, 2, 4))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def saturated(gates, count):
+    """(on, z): which of the first count gates are open, and their pre-activations."""
+    on = np.array([is_on for is_on, _ in gates[:count]])
+    return on, np.where(on, 1.0, -1.0) * np.array([size for _, size in gates[:count]])
+
+
+def assert_vjp_matches_central_differences(forward, cfg, params, x, vout, vjp):
+    """vjp = (input cotangent, parameter gradient) of <vout, layer output>,
+    against central differences over the layer's parameters and input."""
+    one_layer = dataclasses.replace(cfg, layers=1)  # cfg.dt stays the layer's
+    theta = np.concatenate([network.flatten_params([params]), x.ravel()])
+    n = theta.size - x.size
+
+    def value(vec):
+        layer = network.unflatten_params(vec[:n], one_layer)[0]
+        return float(np.sum(vout * forward(vec[n:].reshape(x.shape), layer, cfg)[0]))
+
+    numeric = grad.central_difference(value, theta, grad.FINITE_DIFF_STEP)
+    exact = np.concatenate([network.flatten_params([vjp[1]]), vjp[0].ravel()])
+    assert np.max(np.abs(exact - numeric)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
+
+
+@settings(max_examples=200)
+@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS,
+       angle=st.sampled_from(ANGLE_EDGES), gates=SATURATED, seed=SEEDS)
+def test_manifold_vjp_matches_central_differences_at_saturated_gates_and_branch_edges(
+        space, layers, angle, gates, seed):
+    cfg = network.NetworkConfig(network.MANIFOLD, space, layers)
+    m = len(cfg.generators.axials)
+    on, z = saturated(gates, m)
+    assume(on.any())
+    rng = np.random.default_rng(seed)
+    x = manifolds.sample_uniform(space, rng, 1)
+    weights = rng.uniform(-1.0, 1.0, (m,) + manifolds.point_shape(space))
+    biases = z - network.manifold_preactivation(
+        x, network.ManifoldLayerParams(None, weights, np.zeros(m)), space)[0]
+    # the open gates turn about a unit axis by angle; the generators' axials
+    # are orthonormal, so the closed gates' 1e-13 adds to it only at second order
+    axis = on * rng.choice((-1.0, 1.0), m) * rng.uniform(0.1, 1.0, m)
+    gains = np.where(on, angle * axis / (np.linalg.norm(axis) * cfg.dt * network.sigmoid(z)),
+                     rng.uniform(-1.0, 1.0, m))
+    params = network.ManifoldLayerParams(gains, weights, biases)
+    _, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    assert abs(axial_norm(omega)[0] - angle) <= 1e-12 * angle
+    vout = rng.standard_normal(x.shape)
+    assert_vjp_matches_central_differences(
+        network.manifold_layer_forward, cfg, params, x, vout,
+        grad.manifold_layer_vjp(x, gate, omega, params, cfg, vout))
+
+
+@settings(max_examples=200)
+@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS, gates=SATURATED, seed=SEEDS)
+def test_classical_vjp_matches_central_differences_at_saturated_gates(space, layers, gates,
+                                                                      seed):
+    cfg = network.NetworkConfig(network.CLASSICAL, space, layers)
+    d = cfg.state_dim
+    rng = np.random.default_rng(seed)
+    x = manifolds.sample_uniform(space, rng, 1).reshape(1, d)
+    w_out, w_in = rng.uniform(-1.0, 1.0, (2, d, d))
+    params = network.ClassicalLayerParams(w_out, w_in, saturated(gates, d)[1] - x[0] @ w_in.T)
+    _, (gate,) = network.classical_layer_forward(x, params, cfg)
+    vout = rng.standard_normal(x.shape)
+    assert_vjp_matches_central_differences(
+        network.classical_layer_forward, cfg, params, x, vout,
+        grad.classical_layer_vjp(x, gate, params, cfg.dt, vout))
+
+
 # --- whole-network gradient -------------------------------------------------
 
 def test_zero_residual_zero_lambda_gives_zero_everything():
@@ -265,10 +348,3 @@ def test_central_difference_is_exact_on_affine_functions():
     v = rng.uniform(-1.0, 1.0, 10)
     numeric = grad.central_difference(lambda u: float(k @ u) + 0.25, v, 1e-4)
     assert np.max(np.abs(numeric - k)) <= 1e-10
-
-
-def test_finite_diff_check_rejects_out_of_range_steps():
-    cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 2, 19)
-    for step in (1e-9, 1e-2):
-        with pytest.raises(InvalidConfig):
-            grad.finite_diff_check(params, cfg, x, y, lam=0.0, step=step)

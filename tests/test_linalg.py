@@ -199,14 +199,14 @@ BRANCH_EDGES = [SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE * (1.0 + 1e-9),
                 np.pi - 1e-9, np.pi + 1e-9, 2.0 * np.pi - 1e-9, 2.0 * np.pi + 1e-9]
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(axis=AXES, log_angle=st.floats(-8.0, 3.0))
 def test_exp_stays_on_so3_from_tiny_to_large_angles(axis, log_angle):
     r = expm_skew3(10.0 ** log_angle * axis)
     assert manifolds.defect(manifolds.SO3, r) <= 1e-12
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(axis=AXES, angle=st.sampled_from(BRANCH_EDGES))
 def test_exp_matches_the_dense_oracle_at_branch_edges(axis, angle):
     w = angle * axis

@@ -432,7 +432,11 @@ def test_load_checkpoint_rejects_a_missing_field_or_a_wrong_shape(tmp_path):
     lambda doc: doc.update(params=[None]),
     lambda doc: doc["params"][0].update(gains="ab"),
     lambda doc: doc["params"][0].update(weights=[[0.1, 0.2, 0.3], [0.4]]),
-], ids=["number", "object", "list-entry", "null-entry", "text-field", "ragged-field"])
+    lambda doc: doc["params"][0].update(gains=[repr(g) for g in doc["params"][0]["gains"]]),
+    lambda doc: doc["params"][0].update(biases=[True, False]),
+    lambda doc: doc["params"][0].update(gains=[10 ** 400, 0]),
+], ids=["number", "object", "list-entry", "null-entry", "text-field", "ragged-field",
+        "numbers-as-text", "booleans", "integer-beyond-float"])
 def test_load_checkpoint_reports_malformed_params_naming_the_file(tmp_path, edit):
     path, doc = saved_checkpoint(tmp_path, sphere_cfg(1))
     edit(doc)

@@ -216,7 +216,7 @@ def test_geometric_net_learns_the_sphere_flow():
     net_cfg = sphere_config(4)
     cfg = train.TrainConfig(epochs=train.QUICK_EPOCHS)
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    assert metrics.diverged_at is None
+    assert len(metrics) == cfg.epochs
     assert metrics.test_loss[-1] <= 0.1 * metrics.test_loss[0]
     assert np.max(metrics.max_defect) <= 1e-9
 
@@ -228,8 +228,8 @@ def test_runaway_step_size_raises_with_partial_metrics():
     with pytest.raises(DivergenceDetected) as info:
         train.train_loop(train_ds, test_ds, net_cfg, cfg)
     metrics = info.value.metrics
-    assert metrics.diverged_at is not None
-    assert len(metrics) == metrics.diverged_at
+    assert str(info.value) == f"non-finite loss at epoch {len(metrics)}"
+    assert 0 < len(metrics) < cfg.epochs
     assert np.all(np.isfinite(metrics.train_loss))
 
 
