@@ -3,10 +3,10 @@
 exp1 lives on the sphere, exp2 on the rotation group.  Both right-hand
 sides are state-dependent combinations of the standard rotation
 generators, so at any frozen state the field is a skew matrix acting on
-the state.  The integrator exploits exactly that: each step freezes the
-scalar coefficients and advances along the resulting one-parameter
-rotation subgroup, which keeps every iterate on the manifold to machine
-precision no matter how coarse the step.
+the state.  Each integrator step freezes those coefficients and advances
+along the resulting one-parameter rotation subgroup, which keeps every
+iterate on the manifold to machine precision.  exp2's steps rotate about
+its fixed axis (1, 1, 1) in closed form, bitwise as the general step.
 
 Learning targets are the time-one maps: y = flow(x0) over t in [0, 1].
 """
@@ -19,7 +19,7 @@ import numpy as np
 from . import manifolds
 from .errors import (InvalidConfig, check_keys, numeric_array, read_json_object, replacing,
                      write_json)
-from .linalg import expm_skew3
+from .linalg import _EYE, _sinc_coeffs, expm_skew3, skew_from_axial
 
 DEFAULT_PAIRS = 100  # in each of the train and test sets
 DEFAULT_STEPS = 2 ** 14
@@ -30,30 +30,37 @@ HORIZON = (0.0, 1.0)
 class GroundTruthODE:
     """A reference ODE given by state-dependent rotation coordinates.
 
-    axial_rule maps a batch of states to the axial vector of the frozen
-    field at each state, i.e. the skew matrix sum_i c_i(x) B_i collapsed
-    to its rotation coordinates.  The field value itself is then
-    skew(axial) @ state.
+    axial_rule(x, out=None) maps a batch of states to the axial vectors of
+    the frozen field, sum_i c_i(x) B_i (into out, if given); the field is
+    then skew(axial) @ state.
     """
 
     id: str
     kind: str
     axial_rule: object
+    rate: object = None  # if the field turns about (1, 1, 1): axial_rule = rate * (1, 1, 1)
 
 
-def _exp1_axial(x):
-    # x2 * (about z) + x3 * (about x), axial rows (0,0,1) and (1,0,0)
-    zero = np.zeros_like(x[..., 0])
-    return np.stack([x[..., 2], zero, x[..., 1]], axis=-1)
+def _exp1_axial(x, out=None):
+    # x2 * (about z) + x3 * (about x), axial rows (0,0,1) and (1,0,0);
+    # a given out keeps its middle entry, zero in the flow's buffer
+    out = np.zeros(x.shape[:-1] + (3,)) if out is None else out
+    out[..., 0], out[..., 2] = x[..., 2], x[..., 1]
+    return out
 
 
-def _exp2_axial(x):
-    factor = np.einsum("...ij,...ji->...", x, x) + 3.0
-    return np.repeat(factor[..., None], 3, axis=-1)
+def _exp2_rate(x):
+    return np.einsum("...ij,...ji->...", x, x) + 3.0
+
+
+def _exp2_axial(x, out=None):
+    return np.multiply(_exp2_rate(x)[..., None], np.ones(3), out=out)
 
 
 EXP1 = GroundTruthODE("exp1", manifolds.SPHERE2, _exp1_axial)
-EXP2 = GroundTruthODE("exp2", manifolds.SO3, _exp2_axial)
+EXP2 = GroundTruthODE("exp2", manifolds.SO3, _exp2_axial, _exp2_rate)
+_K = skew_from_axial(np.ones(3))
+_BASIS = np.stack([_K, _EYE, _K @ _K]).reshape(3, 9)  # entries 0, +-1 and -2
 
 _BY_ID = {ode.id: ode for ode in (EXP1, EXP2)}
 
@@ -80,10 +87,23 @@ def ground_truth_flow(x0, ode, steps=DEFAULT_STEPS):
     manifolds.check_on_manifold(ode.kind, x, "initial")
     h = 1.0 / steps
     sphere = ode.kind == manifolds.SPHERE2
+    omega = ode.axial_rule(x)  # refilled by every general step
     for _ in range(steps):
-        rot = expm_skew3(h * ode.axial_rule(x))
+        rot = (expm_skew3(np.multiply(ode.axial_rule(x, omega), h, out=omega))
+               if ode.rate is None else _axis_rotation(h * ode.rate(x)))
         x = np.einsum("...ij,...j->...i", rot, x) if sphere else rot @ x
     return x
+
+
+def _axis_rotation(a):
+    """expm_skew3((a, a, a)), bitwise: I + s W + c W^2 for W = a K, W^2 = a^2 KK."""
+    r = a * a
+    s, c = _sinc_coeffs(np.sqrt((r + r) + r))  # axial_norm's sum
+    # each product with a _BASIS entry is exact and each sum has at most two
+    # nonzero terms, so the matmul rounds once per entry, in any order
+    coeffs = np.empty(np.shape(a) + (3,))
+    coeffs[..., 0], coeffs[..., 1], coeffs[..., 2] = s * a, 1.0, c * r
+    return (coeffs @ _BASIS).reshape(np.shape(a) + (3, 3))
 
 
 @dataclass

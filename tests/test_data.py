@@ -9,10 +9,24 @@ import pytest
 
 from georesnet import data, manifolds
 from georesnet.errors import InvalidConfig, OffManifold
-from georesnet.linalg import expm_skew3, skew_from_axial
+from georesnet.linalg import SMALL_ANGLE, expm_skew3, skew_from_axial
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def general_flow(x0, ode, steps):
+    """The general freeze-and-rotate flow, which ground_truth_flow must match bit for bit."""
+    x = np.asarray(x0, dtype=float)
+    h = 1.0 / steps
+    for _ in range(steps):
+        rot = expm_skew3(h * ode.axial_rule(x))
+        x = np.einsum("...ij,...j->...i", rot, x) if ode.kind == manifolds.SPHERE2 else rot @ x
+    return x
 
 
 def velocity(ode, x):
@@ -53,6 +67,26 @@ def test_exp2_coefficient_at_a_half_turn():
     assert np.allclose(velocity(data.EXP2, r), expected, atol=1e-13)
 
 
+def test_exp2_axial_rule_is_its_rate_about_the_diagonal():
+    x = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(3), 50)
+    assert_bitwise(data.EXP2.axial_rule(x), data.EXP2.rate(x)[:, None] * np.ones(3))
+    assert_bitwise(data.EXP2.axial_rule(x[0]), data.EXP2.rate(x[0]) * np.ones(3))
+    assert data.EXP1.rate is None
+
+
+def test_every_exp2_target_is_its_input_turned_about_the_diagonal():
+    # the flow only ever rotates about n = (1,1,1)/sqrt(3), so the axial
+    # vector of the relative rotation Y X0^T has no part off n
+    train, test = data.generate_dataset("exp2", 100, 100, seed=2024)
+    n = np.ones(3) / math.sqrt(3.0)
+    for ds in (train, test):
+        rel = ds.targets @ np.swapaxes(ds.inputs, -1, -2)
+        axial = 0.5 * np.stack([rel[:, 2, 1] - rel[:, 1, 2], rel[:, 0, 2] - rel[:, 2, 0],
+                                rel[:, 1, 0] - rel[:, 0, 1]], axis=-1)
+        off_axis = axial - np.outer(axial @ n, n)
+        assert np.max(np.linalg.norm(off_axis, axis=-1)) <= 1e-12
+
+
 def test_exp2_field_is_tangent_to_the_rotation_group():
     rng = np.random.default_rng(1)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 200)
@@ -91,6 +125,35 @@ def test_flow_rejects_non_finite_states():
     bad[1, 0, 0] = np.nan
     with pytest.raises(OffManifold):
         data.ground_truth_flow(bad, data.EXP2, steps=4)
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+@pytest.mark.parametrize("rows,steps", [(None, 1), (None, 64), (1, 1), (1, 64), (3, 1),
+                                        (3, 64), (200, 1), (200, 64), (200, 2 ** 14)])
+def test_flow_is_bitwise_the_general_step(experiment, rows, steps):
+    ode = data.ode_by_id(experiment)
+    x = manifolds.sample_uniform(ode.kind, np.random.default_rng(steps), rows or 1)
+    x = x if rows else x[0]
+    assert_bitwise(data.ground_truth_flow(x, ode, steps), general_flow(x, ode, steps))
+
+
+@pytest.mark.parametrize("h", [1e-7, 2.0 ** -14, 1.0])
+def test_axis_rotation_is_bitwise_expm_skew3_on_both_branches(h):
+    # exp2's rate lies in [2, 6], so at h = 1e-7 every angle takes the
+    # series branch, and at 2^-14 (the flow's step) and 1 none does
+    x = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(4), 200)
+    a = h * data.EXP2.rate(x)
+    want = expm_skew3(h * data.EXP2.axial_rule(x))
+    assert_bitwise(data._axis_rotation(a), want)
+    assert_bitwise(data._axis_rotation(a) @ x, want @ x)
+    assert_bitwise(data._axis_rotation(a[0]), want[0])
+    if h == 1e-7:
+        assert np.all(math.sqrt(3.0) * a < SMALL_ANGLE)
+
+
+def test_axis_rotation_is_bitwise_expm_skew3_in_a_batch_across_small_angle():
+    a = np.geomspace(1e-3, 1e2, 400) * SMALL_ANGLE / math.sqrt(3.0)
+    assert_bitwise(data._axis_rotation(a), expm_skew3(a[:, None] * np.ones(3)))
 
 
 def test_flow_stays_on_the_manifold_at_any_step_count():
