@@ -58,13 +58,17 @@ def _load_datasets(args, experiment):
         train_ds = data.load_dataset(os.path.join(args.data, "train.json"))
         test_ds = data.load_dataset(os.path.join(args.data, "test.json"))
         return train_ds, test_ds, {"source": args.data}
+    seed = 0 if args.data_seed is None else args.data_seed
     train_ds, test_ds = data.generate_dataset(experiment, data.DEFAULT_PAIRS, data.DEFAULT_PAIRS,
-                                              args.data_seed)
-    return train_ds, test_ds, {"source": "generated", "data_seed": args.data_seed}
+                                              seed)
+    return train_ds, test_ds, {"source": "generated", "data_seed": seed}
 
 
 def cmd_train(args):
     """Train one model.  Config keys: any TrainConfig field."""
+    if args.data and args.data_seed is not None:
+        print("train takes --data or --data-seed, not both", file=sys.stderr)
+        return 2
     ode = data.ode_by_id(args.experiment)
     net_cfg = network.NetworkConfig(args.model, ode.kind, args.layers)
     overrides = {"seed": args.seed} if args.seed is not None else {}
@@ -92,13 +96,10 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     """Run the benchmark sweep.  --config names a sweep spec JSON."""
-    if args.config:
-        spec = sweep.load_spec(args.config)
-    elif args.experiment:
-        spec = sweep.default_spec(args.experiment)
-    else:
-        print("sweep needs --experiment or --config", file=sys.stderr)
+    if bool(args.config) == bool(args.experiment):
+        print("sweep needs --experiment or --config, not both", file=sys.stderr)
         return 2
+    spec = sweep.load_spec(args.config) if args.config else sweep.default_spec(args.experiment)
     if args.seed is not None:
         spec = dataclasses.replace(spec, data_seed=args.seed)
     started = time.perf_counter()
@@ -247,8 +248,8 @@ def build_parser():
     p.add_argument("--experiment", required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--data", default=None, help="directory with train.json/test.json")
-    p.add_argument("--data-seed", type=int, default=0,
-                   help="seed for on-the-fly data when --data is absent")
+    p.add_argument("--data-seed", type=int, default=None,
+                   help="seed for on-the-fly data when --data is absent (default 0)")
     p.add_argument("--seed", type=int, default=None, help="training seed override")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

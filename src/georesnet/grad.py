@@ -22,6 +22,10 @@ below is batched over samples.
 
 Gradients are of the discrete maps themselves, exact to floating point;
 the finite-difference checker at the bottom is the independent oracle.
+objective returns the loss together with its output cotangent, and
+network_gradient chains forward pass, objective and backward sweep: the
+training loop takes every step through it, and `check gradcheck` checks
+it against that oracle.
 """
 
 import numpy as np
@@ -133,13 +137,13 @@ def regularizer_norm(theta):
     return float(np.sum(np.square(theta)))
 
 
-def objective(outputs, targets, theta, lam, dt):
-    """The training objective of a batch of outputs, as (loss, residual).
+def objective(outputs, targets, theta=(), lam=0.0, dt=1.0):
+    """The training objective of a batch of outputs, as (loss, output cotangent).
 
     loss = (1/P) sum_j ||outputs_j - targets_j||^2 + (lam dt / 2) ||theta||^2
     with theta the flat parameter vector (network.flatten_params), and the
-    residual is outputs - targets.  The test loss is the plain mean squared
-    error: theta = () and lam = 0.
+    output cotangent is its derivative in the outputs, (2/P) (outputs -
+    targets).  The defaults give the plain mean squared error, the test loss.
     """
     outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -147,49 +151,47 @@ def objective(outputs, targets, theta, lam, dt):
         raise InvalidConfig("outputs and targets must be matching nonempty batches")
     r = outputs - targets
     data = float(np.sum(r * r)) / len(r)
-    return data + 0.5 * lam * dt * regularizer_norm(theta), r
+    return data + 0.5 * lam * dt * regularizer_norm(theta), (2.0 / len(r)) * r
 
 
-def network_loss(inputs, targets, params, cfg, lam):
-    """Objective value of the network on a batch of inputs and targets."""
-    out = network.network_forward(inputs, params, cfg)[0]
-    return objective(out, targets, network.flatten_params(params), lam, cfg.dt)[0]
-
-
-def backward_from_trace(trace, params, theta, upstream, lam):
+def backward_from_trace(trace, params, theta, cotangent, lam):
     """Backward sweep over a recorded forward pass, as one flat gradient.
 
     params are the per-layer parameters the trace was recorded with and
     theta the same values as one flat vector (network.flatten_params).
-    upstream is the cotangent of the network output (already including
-    any batch-averaging factors), shaped like the output batch.  The
-    result is the gradient of the data term, laid out like theta, plus
+    cotangent is the cotangent of the first len(cotangent) network outputs,
+    shaped like them; only those rows of the trace are swept.  The result
+    is the gradient of the data term, laid out like theta, plus
     lam * dt * theta from the Tikhonov term.
     """
     cfg = trace.config
-    upstream = upstream.reshape(trace.states.shape[1:])  # flat rows for the baseline
+    rows = len(cotangent)
+    upstream = cotangent.reshape((rows,) + trace.states.shape[2:])  # flat rows for the baseline
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
             upstream, grads[n] = manifold_layer_vjp(
-                trace.states[n], trace.gates[n], trace.axials[n],
+                trace.states[n, :rows], trace.gates[n, :rows], trace.axials[n, :rows],
                 params[n], cfg, upstream)
         else:
             upstream, grads[n] = classical_layer_vjp(
-                trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)
+                trace.states[n, :rows], trace.gates[n, :rows], params[n], cfg.dt, upstream)
     return network.flatten_params(grads) + lam * cfg.dt * theta
 
 
 def network_gradient(inputs, targets, params, cfg, lam):
-    """Loss and its exact gradient for a batch, as (loss, flat gradient).
+    """One forward, objective and backward pass: (loss, flat gradient, outputs).
 
-    The data term is (1/P) sum_j ||out_j - y_j||^2, so the output
-    cotangent seeding the backward sweep is (2/P) (out - y).
+    The objective and its gradient cover the first len(targets) inputs;
+    any inputs after them only ride along through the forward pass, and
+    every layer treats rows independently, so their outputs are bitwise
+    those of a forward of their own.  Training takes each step through
+    this function, and finite_diff_check checks it.
     """
     out, trace = network.network_forward(inputs, params, cfg)
     theta = network.flatten_params(params)
-    loss, r = objective(out, targets, theta, lam, cfg.dt)
-    return loss, backward_from_trace(trace, params, theta, (2.0 / len(r)) * r, lam)
+    loss, cotangent = objective(out[:len(targets)], targets, theta, lam, cfg.dt)
+    return loss, backward_from_trace(trace, params, theta, cotangent, lam), out
 
 
 def central_difference(fn, vec, step):
@@ -221,8 +223,8 @@ def finite_diff_check(params, cfg, inputs, targets, lam):
     exact = network_gradient(inputs, targets, params, cfg, lam)[1]
 
     def value(vec):
-        return network_loss(inputs, targets, network.unflatten_params(vec, cfg),
-                            cfg, lam)
+        out = network.network_forward(inputs, network.unflatten_params(vec, cfg), cfg)[0]
+        return objective(out, targets, vec, lam, cfg.dt)[0]
 
     numeric = central_difference(value, network.flatten_params(params), FINITE_DIFF_STEP)
     denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-10)

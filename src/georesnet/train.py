@@ -125,13 +125,6 @@ def prediction_defects(outputs, space):
     return manifolds.defect(space, outputs)
 
 
-def _train_rows(trace, p_train):
-    """The trace of the first p_train rows of a batch, as views."""
-    return network.ForwardTrace(
-        trace.config, trace.states[:, :p_train], trace.gates[:, :p_train],
-        None if trace.axials is None else trace.axials[:, :p_train])
-
-
 def _run_metrics(rows, params, start):
     """RunMetrics of the recorded rows (one per epoch, in METRICS_COLUMNS order)."""
     epoch, *series = rows.T
@@ -149,15 +142,13 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     and test predictions that epoch.  Raises DivergenceDetected with the
     rows recorded so far if a loss stops being finite.
 
-    Each epoch runs one forward pass over the train and test inputs
-    together; every layer treats rows independently, so the split outputs
-    are bitwise those of two separate passes.  The parameters live in one
-    flat vector, and params holds views into it, so each SGD step writes
-    straight through to the layers.
-
-    One forward trace is alive at a time: the epoch's trace, outputs and
-    residual are dropped once the gradient is taken, so the next forward
-    never allocates beside them.
+    Each epoch is one grad.network_gradient call, the function that
+    `check gradcheck` checks, over the train and test inputs together: the
+    test rows ride along through the forward pass and leave the train
+    gradient unchanged.  Its trace is gone when it returns, so one forward
+    trace is alive at a time.  The parameters live in one flat vector, and
+    params holds views into it, so each SGD step writes straight through
+    to the layers.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
@@ -167,32 +158,26 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     velocity = np.zeros_like(flat)
 
     all_x = np.concatenate([train_ds.inputs, test_ds.inputs])
-    p_train = len(train_ds)
 
     rows = np.empty((cfg.epochs, len(METRICS_COLUMNS)))
     start = time.perf_counter()
 
-    # A diverging run overflows on its way to the explicit non-finite check
-    # below; the intermediate overflow warnings carry no extra information.
+    # A diverging run overflows, forward and backward, on its way to the
+    # explicit non-finite check below; the intermediate overflow warnings
+    # carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = lr_schedule(epoch, cfg)
 
-            all_out, trace = network.network_forward(all_x, params, net_cfg)
-            train_loss, r = grad.objective(all_out[:p_train], train_ds.targets, flat,
-                                           cfg.lam, net_cfg.dt)
-            test_loss = grad.objective(all_out[p_train:], test_ds.targets, (), 0.0,
-                                       net_cfg.dt)[0]
+            train_loss, g, all_out = grad.network_gradient(all_x, train_ds.targets, params,
+                                                           net_cfg, cfg.lam)
+            test_loss = grad.objective(all_out[len(train_ds):], test_ds.targets)[0]
 
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}",
                                          _run_metrics(rows[:epoch], params, start))
             rows[epoch] = (epoch, lr, train_loss, test_loss,
                            np.max(prediction_defects(all_out, net_cfg.space)))
-
-            g = grad.backward_from_trace(_train_rows(trace, p_train), params, flat,
-                                         (2.0 / p_train) * r, cfg.lam)
-            del all_out, trace, r
             flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
 
     return _run_metrics(rows, params, start)

@@ -217,6 +217,19 @@ def test_train_rejects_a_negative_seed(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
 
+def test_train_rejects_a_data_seed_beside_a_data_directory(tmp_path, capsys):
+    # the loaded data would silently ignore the seed, even one equal to the default
+    data_dir = make_data_dir(tmp_path)
+    capsys.readouterr()
+    for seed in ("0", "5"):
+        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                         "--layers", "1", "--data", str(data_dir), "--data-seed", seed,
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "--data or --data-seed, not both" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_reports_a_malformed_json_config(tmp_path, capsys):
     data_dir = make_data_dir(tmp_path)
     capsys.readouterr()
@@ -248,6 +261,18 @@ def test_sweep_requires_an_experiment_or_spec(tmp_path, capsys):
     code = cli.main(["sweep", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "needs --experiment" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_experiment_beside_a_spec(tmp_path, capsys):
+    # the spec names its own experiment, which would silently win
+    spec = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
+            "seeds": [0], "train": {"epochs": 2}, "p_train": 4, "p_test": 4}
+    config = write_json(tmp_path / "spec.json", spec)
+    code = cli.main(["sweep", "--experiment", "exp2", "--config", config,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_from_a_spec_file(tmp_path, capsys):

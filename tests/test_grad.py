@@ -16,6 +16,12 @@ def make_config(model, space, layers):
     return network.NetworkConfig(model, space, layers)
 
 
+def loss_at(x, y, vec, cfg, lam):
+    """The objective of the net with flat parameters vec, by its own forward."""
+    out = network.network_forward(x, network.unflatten_params(vec, cfg), cfg)[0]
+    return grad.objective(out, y, vec, lam, cfg.dt)[0]
+
+
 def random_problem(model, space, layers, batch, seed):
     rng = np.random.default_rng(seed)
     cfg = make_config(model, space, layers)
@@ -180,6 +186,9 @@ def test_classical_vjp_matches_finite_differences():
 # every gate's pre-activation z has |z| in this range: sigma(z) is within
 # 1e-13 of 0 or 1, and sigma'(z) is as small
 SATURATED = st.lists(st.tuples(st.booleans(), st.floats(30.0, 60.0)), min_size=9, max_size=9)
+# and in this one sigma'(z) >= 3e-4, so a fault in a gate's chain rule moves
+# the gradient far beyond the central differences' error
+MODERATE = st.lists(st.tuples(st.booleans(), st.floats(1.0, 8.0)), min_size=9, max_size=9)
 # each side of the series/closed-form switch and of a half turn
 ANGLE_EDGES = [SMALL_ANGLE * (1.0 - 1e-9), SMALL_ANGLE * (1.0 + 1e-9),
                np.pi - 1e-9, np.pi + 1e-9]
@@ -187,10 +196,19 @@ LAYERS = st.sampled_from((1, 2, 4))
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
-def saturated(gates, count):
+def preactivations(gates, count):
     """(on, z): which of the first count gates are open, and their pre-activations."""
     on = np.array([is_on for is_on, _ in gates[:count]])
     return on, np.where(on, 1.0, -1.0) * np.array([size for _, size in gates[:count]])
+
+
+def manifold_layer_at(space, z, rng):
+    """A point x, and layer weights and biases that put its gate pre-activations at z."""
+    x = manifolds.sample_uniform(space, rng, 1)
+    weights = rng.uniform(-1.0, 1.0, (len(z),) + manifolds.point_shape(space))
+    biases = z - network.manifold_preactivation(
+        x, network.ManifoldLayerParams(None, weights, np.zeros(len(z))), space)[0]
+    return x, weights, biases
 
 
 def assert_vjp_matches_central_differences(forward, cfg, params, x, vout, vjp):
@@ -216,13 +234,10 @@ def test_manifold_vjp_matches_central_differences_at_saturated_gates_and_branch_
         space, layers, angle, gates, seed):
     cfg = network.NetworkConfig(network.MANIFOLD, space, layers)
     m = len(cfg.generators.axials)
-    on, z = saturated(gates, m)
+    on, z = preactivations(gates, m)
     assume(on.any())
     rng = np.random.default_rng(seed)
-    x = manifolds.sample_uniform(space, rng, 1)
-    weights = rng.uniform(-1.0, 1.0, (m,) + manifolds.point_shape(space))
-    biases = z - network.manifold_preactivation(
-        x, network.ManifoldLayerParams(None, weights, np.zeros(m)), space)[0]
+    x, weights, biases = manifold_layer_at(space, z, rng)
     # the open gates turn about a unit axis by angle; the generators' axials
     # are orthonormal, so the closed gates' 1e-13 adds to it only at second order
     axis = on * rng.choice((-1.0, 1.0), m) * rng.uniform(0.1, 1.0, m)
@@ -237,21 +252,51 @@ def test_manifold_vjp_matches_central_differences_at_saturated_gates_and_branch_
         grad.manifold_layer_vjp(x, gate, omega, params, cfg, vout))
 
 
-@settings(max_examples=200)
-@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS, gates=SATURATED, seed=SEEDS)
-def test_classical_vjp_matches_central_differences_at_saturated_gates(space, layers, gates,
-                                                                      seed):
+def assert_classical_vjp_matches_central_differences(space, layers, gates, seed):
     cfg = network.NetworkConfig(network.CLASSICAL, space, layers)
     d = cfg.state_dim
     rng = np.random.default_rng(seed)
     x = manifolds.sample_uniform(space, rng, 1).reshape(1, d)
     w_out, w_in = rng.uniform(-1.0, 1.0, (2, d, d))
-    params = network.ClassicalLayerParams(w_out, w_in, saturated(gates, d)[1] - x[0] @ w_in.T)
+    z = preactivations(gates, d)[1]
+    params = network.ClassicalLayerParams(w_out, w_in, z - x[0] @ w_in.T)
     _, (gate,) = network.classical_layer_forward(x, params, cfg)
     vout = rng.standard_normal(x.shape)
     assert_vjp_matches_central_differences(
         network.classical_layer_forward, cfg, params, x, vout,
         grad.classical_layer_vjp(x, gate, params, cfg.dt, vout))
+
+
+@settings(max_examples=200)
+@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS, gates=SATURATED, seed=SEEDS)
+def test_classical_vjp_matches_central_differences_at_saturated_gates(space, layers, gates,
+                                                                      seed):
+    assert_classical_vjp_matches_central_differences(space, layers, gates, seed)
+
+
+# --- layer VJPs at moderate gates: the gates' own chain rule -----------------
+
+@settings(max_examples=200)
+@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS, gates=MODERATE, seed=SEEDS)
+def test_manifold_vjp_matches_central_differences_at_moderate_gates(space, layers, gates,
+                                                                    seed):
+    cfg = network.NetworkConfig(network.MANIFOLD, space, layers)
+    rng = np.random.default_rng(seed)
+    z = preactivations(gates, len(cfg.generators.axials))[1]
+    x, weights, biases = manifold_layer_at(space, z, rng)
+    params = network.ManifoldLayerParams(rng.uniform(-1.0, 1.0, len(z)), weights, biases)
+    _, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    vout = rng.standard_normal(x.shape)
+    assert_vjp_matches_central_differences(
+        network.manifold_layer_forward, cfg, params, x, vout,
+        grad.manifold_layer_vjp(x, gate, omega, params, cfg, vout))
+
+
+@settings(max_examples=200)
+@given(space=st.sampled_from(manifolds.KINDS), layers=LAYERS, gates=MODERATE, seed=SEEDS)
+def test_classical_vjp_matches_central_differences_at_moderate_gates(space, layers, gates,
+                                                                     seed):
+    assert_classical_vjp_matches_central_differences(space, layers, gates, seed)
 
 
 # --- whole-network gradient -------------------------------------------------
@@ -264,9 +309,10 @@ def test_zero_residual_zero_lambda_gives_zero_everything():
                                           rng.standard_normal(2))
               for _ in range(3)]
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 5)
-    value, flat_grad = grad.network_gradient(x, x, params, cfg, lam=0.0)
+    value, flat_grad, out = grad.network_gradient(x, x, params, cfg, lam=0.0)
     assert value == 0.0
     assert np.array_equal(flat_grad, np.zeros(network.param_count(cfg)))
+    assert np.array_equal(out, x)
 
 
 def test_zero_residual_gradient_is_exactly_the_regularizer():
@@ -278,7 +324,7 @@ def test_zero_residual_gradient_is_exactly_the_regularizer():
               for _ in range(2)]
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
     lam = 0.35
-    _, flat_grad = grad.network_gradient(x, x, params, cfg, lam=lam)
+    flat_grad = grad.network_gradient(x, x, params, cfg, lam=lam)[1]
     # per layer, in the stored field order: gains, weights, biases
     for p, g in zip(params, network.unflatten_params(flat_grad, cfg)):
         assert np.array_equal(g.gains, lam * cfg.dt * p.gains)
@@ -289,16 +335,29 @@ def test_zero_residual_gradient_is_exactly_the_regularizer():
 def test_network_loss_includes_the_regularizer_exactly():
     cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 3, 12)
     lam = 1e-2
-    with_reg = grad.network_loss(x, y, params, cfg, lam)
-    without = grad.network_loss(x, y, params, cfg, 0.0)
+    with_reg = grad.network_gradient(x, y, params, cfg, lam)[0]
+    without = grad.network_gradient(x, y, params, cfg, 0.0)[0]
     reg = 0.5 * lam * cfg.dt * grad.regularizer_norm(network.flatten_params(params))
     assert np.isclose(with_reg - without, reg, rtol=1e-12)
 
 
 def test_gradient_value_equals_loss_value():
     cfg, params, x, y = random_problem(network.CLASSICAL, manifolds.SO3, 2, 3, 13)
-    value, _ = grad.network_gradient(x, y, params, cfg, lam=1e-3)
-    assert value == grad.network_loss(x, y, params, cfg, 1e-3)
+    value, _, out = grad.network_gradient(x, y, params, cfg, lam=1e-3)
+    assert value == loss_at(x, y, network.flatten_params(params), cfg, 1e-3)
+    assert np.array_equal(out, network.network_forward(x, params, cfg)[0])
+
+
+@pytest.mark.parametrize("space", manifolds.KINDS)
+@pytest.mark.parametrize("model", network.MODELS)
+def test_rows_after_the_targets_ride_along_without_touching_the_gradient(model, space):
+    cfg, params, x, y = random_problem(model, space, 2, 7, 21)
+    value, flat_grad, out = grad.network_gradient(x, y[:4], params, cfg, lam=1e-3)
+    alone = grad.network_gradient(x[:4], y[:4], params, cfg, lam=1e-3)
+    assert value == alone[0]
+    assert np.array_equal(flat_grad, alone[1])
+    assert np.array_equal(out[:4], alone[2])
+    assert np.array_equal(out[4:], network.network_forward(x[4:], params, cfg)[0])
 
 
 def test_loss_and_gradient_reject_a_lone_state():
@@ -306,10 +365,11 @@ def test_loss_and_gradient_reject_a_lone_state():
     for model in network.MODELS:
         for space in manifolds.KINDS:
             cfg, params, x, y = random_problem(model, space, 2, 1, 20)
-            for fn in (grad.network_loss, grad.network_gradient):
-                with pytest.raises(InvalidConfig, match="batch"):
-                    fn(x[0], y[0], params, cfg, 1e-3)
-                fn(x, y, params, cfg, 1e-3)  # the same state as a batch of one
+            with pytest.raises(InvalidConfig, match="batch"):
+                grad.network_gradient(x[0], y[0], params, cfg, 1e-3)
+            with pytest.raises(InvalidConfig, match="batch"):
+                grad.finite_diff_check(params, cfg, x[0], y[0], 1e-3)
+            grad.network_gradient(x, y, params, cfg, 1e-3)  # the same state as a batch of one
 
 
 def test_manifold_network_gradient_matches_finite_differences():
@@ -324,17 +384,15 @@ def test_so3_network_gradient_matches_finite_differences():
 
 def test_directional_derivatives_agree_with_the_gradient():
     cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 16)
-    _, flat_grad = grad.network_gradient(x, y, params, cfg, lam=1e-3)
+    flat_grad = grad.network_gradient(x, y, params, cfg, lam=1e-3)[1]
     flat = network.flatten_params(params)
     rng = np.random.default_rng(17)
     eps = 1e-6
     for _ in range(100):
         d = rng.standard_normal(flat.size)
         d /= np.linalg.norm(d)
-        plus = grad.network_loss(x, y, network.unflatten_params(flat + eps * d, cfg),
-                                 cfg, 1e-3)
-        minus = grad.network_loss(x, y, network.unflatten_params(flat - eps * d, cfg),
-                                  cfg, 1e-3)
+        plus = loss_at(x, y, flat + eps * d, cfg, 1e-3)
+        minus = loss_at(x, y, flat - eps * d, cfg, 1e-3)
         numeric = (plus - minus) / (2.0 * eps)
         exact = float(flat_grad @ d)
         assert abs(numeric - exact) <= 1e-4 * max(abs(exact), 1e-10)

@@ -28,17 +28,18 @@ GAIN_THETA = network.flatten_params([network.ManifoldLayerParams(
 
 def test_loss_is_zero_on_a_perfect_unregularized_fit():
     preds = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    value, r = grad.objective(preds, preds, GAIN_THETA, lam=0.0, dt=0.5)
+    value, cotangent = grad.objective(preds, preds, GAIN_THETA, lam=0.0, dt=0.5)
     assert value == 0.0
-    assert np.array_equal(r, np.zeros((2, 3)))
+    assert np.array_equal(cotangent, np.zeros((2, 3)))
 
 
 def test_loss_of_a_single_pair_is_its_squared_distance():
     preds = np.array([[1.0, 0.0, 0.0]])
     targets = np.array([[0.0, 1.0, 0.0]])
-    value, r = grad.objective(preds, targets, [], lam=0.0, dt=1.0)
+    value, cotangent = grad.objective(preds, targets, [], lam=0.0, dt=1.0)
     assert value == 2.0
-    assert np.array_equal(r, preds - targets)
+    # d/d(preds) of ||preds - targets||^2 over a batch of one
+    assert np.array_equal(cotangent, 2.0 * (preds - targets))
 
 
 def test_loss_regularizer_term():
@@ -51,7 +52,9 @@ def test_loss_averages_over_the_batch():
     preds = np.zeros((4, 3))
     targets = np.zeros((4, 3))
     targets[0, 0] = 2.0  # one bad pair out of four
-    assert grad.objective(preds, targets, [], lam=0.0, dt=1.0)[0] == 1.0
+    value, cotangent = grad.objective(preds, targets)
+    assert value == 1.0
+    assert np.array_equal(cotangent, 0.5 * (preds - targets))
 
 
 def test_loss_rejects_mismatched_batches():
@@ -178,13 +181,29 @@ def test_first_row_describes_the_untouched_initialization():
     # the test rows ride along in the train pass; they must come out as
     # they would from a forward of their own
     test_out, _ = network.network_forward(test_ds.inputs, params, net_cfg)
-    assert metrics.test_loss[0] == grad.objective(test_out, test_ds.targets, [], 0.0,
-                                                  net_cfg.dt)[0]
+    assert metrics.test_loss[0] == grad.objective(test_out, test_ds.targets)[0]
     worst = max(np.max(manifolds.defect(net_cfg.space, out)),
                 np.max(manifolds.defect(net_cfg.space, test_out)))
     assert metrics.max_defect[0] == worst
     assert metrics.epoch[0] == 0
     assert metrics.lr[0] == cfg.lr0
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+@pytest.mark.parametrize("model", network.MODELS)
+def test_a_training_step_is_the_network_gradient_of_the_train_rows(model, experiment):
+    # velocity starts at zero, so the first step is lr0 times the gradient;
+    # train_loop takes it with the test rows in the same forward pass
+    train_ds, test_ds = data.generate_dataset(experiment, 6, 4, seed=3, steps=16)
+    net_cfg = network.NetworkConfig(model, train_ds.kind, 2)
+    cfg = train.TrainConfig(epochs=1, seed=4)
+    metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
+    params = network.init_params(net_cfg, np.random.default_rng(cfg.seed))
+    loss, g, _ = grad.network_gradient(train_ds.inputs, train_ds.targets, params, net_cfg,
+                                       cfg.lam)
+    assert metrics.train_loss[0] == loss
+    assert np.array_equal(network.flatten_params(metrics.final_params),
+                          network.flatten_params(params) - cfg.lr0 * g)
 
 
 def test_train_loop_is_deterministic():
