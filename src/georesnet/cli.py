@@ -27,28 +27,32 @@ def _load_config(path):
 
 
 def cmd_gen_data(args):
-    """Generate benchmark datasets.  Config keys: integers p_train, p_test, steps; bool csv."""
+    """Generate benchmark datasets.  Config keys: integers p_train, p_test, steps; bool csv.
+
+    A given --train-size, --test-size or --csv wins over its config key.
+    """
     cfg = _load_config(args.config)
     check_keys(cfg, "gen-data config", known=("p_train", "p_test", "steps", "csv"))
     wrong = [key for key, value in cfg.items()
              if not (isinstance(value, bool) if key == "csv" else is_a(numbers.Integral, value))]
     if wrong:
         raise InvalidConfig(f"wrongly typed gen-data config values: {wrong}")
-    p_train = cfg.get("p_train", args.train_size)
-    p_test = cfg.get("p_test", args.test_size)
-    steps = cfg.get("steps", data.DEFAULT_STEPS)
-    want_csv = cfg.get("csv", args.csv)
+    flags = {"p_train": args.train_size, "p_test": args.test_size, "csv": args.csv}
+    cfg = {"p_train": data.DEFAULT_PAIRS, "p_test": data.DEFAULT_PAIRS,
+           "steps": data.DEFAULT_STEPS, "csv": False, **cfg,
+           **{key: flag for key, flag in flags.items() if flag is not None}}
     train_ds, test_ds = data.generate_dataset(
-        args.experiment, p_train, p_test, args.seed, steps=steps)
+        args.experiment, cfg["p_train"], cfg["p_test"], args.seed, steps=cfg["steps"])
     os.makedirs(args.out, exist_ok=True)
     for role, ds in (("train", train_ds), ("test", test_ds)):
         data.save_dataset(ds, os.path.join(args.out, f"{role}.json"))
-        if want_csv:
+        if cfg["csv"]:
             data.save_dataset_csv(ds, os.path.join(args.out, f"{role}.csv"))
         print(f"{role}: {len(ds)} pairs on {ds.kind}, max defect {ds.max_defect():.3e}")
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "gen-data", "experiment": data.ode_by_id(args.experiment).id,
-        "seed": args.seed, "p_train": p_train, "p_test": p_test, "steps": steps,
+        "seed": args.seed, "p_train": cfg["p_train"], "p_test": cfg["p_test"],
+        "steps": cfg["steps"],
     }, sort_keys=True)
     return 0
 
@@ -235,9 +239,12 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate benchmark datasets")
     p.add_argument("--experiment", required=True, help="exp1 (sphere) or exp2 (rotations)")
-    p.add_argument("--train-size", type=int, default=data.DEFAULT_PAIRS)
-    p.add_argument("--test-size", type=int, default=data.DEFAULT_PAIRS)
-    p.add_argument("--csv", action="store_true", help="also write flat CSV exports")
+    p.add_argument("--train-size", type=int, default=None,
+                   help=f"train pairs (default: config p_train, else {data.DEFAULT_PAIRS})")
+    p.add_argument("--test-size", type=int, default=None,
+                   help=f"test pairs (default: config p_test, else {data.DEFAULT_PAIRS})")
+    p.add_argument("--csv", action="store_true", default=None,
+                   help="also write flat CSV exports (default: config csv, else off)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

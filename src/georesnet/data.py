@@ -11,13 +11,12 @@ its fixed axis (1, 1, 1) in closed form, bitwise as the general step.
 Learning targets are the time-one maps: y = flow(x0) over t in [0, 1].
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import manifolds
-from .errors import (InvalidConfig, check_keys, numeric_array, read_json_object, replacing,
+from .errors import (InvalidConfig, check_keys, numeric_array, read_json_object, write_csv,
                      write_json)
 from .linalg import _EYE, _sinc_coeffs, expm_skew3, skew_from_axial
 
@@ -30,9 +29,8 @@ HORIZON = (0.0, 1.0)
 class GroundTruthODE:
     """A reference ODE given by state-dependent rotation coordinates.
 
-    axial_rule(x, out=None) maps a batch of states to the axial vectors of
-    the frozen field, sum_i c_i(x) B_i (into out, if given); the field is
-    then skew(axial) @ state.
+    axial_rule(x) maps a batch of states to the axial vectors of the frozen
+    field, sum_i c_i(x) B_i; the field is then skew(axial) @ state.
     """
 
     id: str
@@ -41,10 +39,9 @@ class GroundTruthODE:
     rate: object = None  # if the field turns about (1, 1, 1): axial_rule = rate * (1, 1, 1)
 
 
-def _exp1_axial(x, out=None):
-    # x2 * (about z) + x3 * (about x), axial rows (0,0,1) and (1,0,0);
-    # a given out keeps its middle entry, zero in the flow's buffer
-    out = np.zeros(x.shape[:-1] + (3,)) if out is None else out
+def _exp1_axial(x):
+    # x2 * (about z) + x3 * (about x), axial rows (0,0,1) and (1,0,0)
+    out = np.zeros(x.shape[:-1] + (3,))
     out[..., 0], out[..., 2] = x[..., 2], x[..., 1]
     return out
 
@@ -53,8 +50,8 @@ def _exp2_rate(x):
     return np.einsum("...ij,...ji->...", x, x) + 3.0
 
 
-def _exp2_axial(x, out=None):
-    return np.multiply(_exp2_rate(x)[..., None], np.ones(3), out=out)
+def _exp2_axial(x):
+    return _exp2_rate(x)[..., None] * np.ones(3)
 
 
 EXP1 = GroundTruthODE("exp1", manifolds.SPHERE2, _exp1_axial)
@@ -87,10 +84,9 @@ def ground_truth_flow(x0, ode, steps=DEFAULT_STEPS):
     manifolds.check_on_manifold(ode.kind, x, "initial")
     h = 1.0 / steps
     sphere = ode.kind == manifolds.SPHERE2
-    omega = ode.axial_rule(x)  # refilled by every general step
     for _ in range(steps):
-        rot = (expm_skew3(np.multiply(ode.axial_rule(x, omega), h, out=omega))
-               if ode.rate is None else _axis_rotation(h * ode.rate(x)))
+        rot = (expm_skew3(ode.axial_rule(x) * h) if ode.rate is None
+               else _axis_rotation(h * ode.rate(x)))
         x = np.einsum("...ij,...j->...i", rot, x) if sphere else rot @ x
     return x
 
@@ -159,14 +155,6 @@ def save_dataset(ds, path):
     })
 
 
-def _pair_array(doc, name, shape, path):
-    value = numeric_array(doc[name], f"dataset {path}: {name}")
-    if value.shape[1:] != shape:  # an empty list has shape (0,) and fails too
-        raise InvalidConfig(f"dataset {path}: {name} must have shape (n,) + {shape}, "
-                            f"got {value.shape}")
-    return value
-
-
 def load_dataset(path):
     """Read a dataset written by save_dataset.
 
@@ -177,32 +165,22 @@ def load_dataset(path):
     doc = read_json_object(path)
     check_keys(doc, f"dataset {path}", required=("kind", "metadata", "inputs", "targets"))
     kind = manifolds.check_kind(doc["kind"])
-    shape = manifolds.point_shape(kind)
-    inputs = _pair_array(doc, "inputs", shape, path)
-    targets = _pair_array(doc, "targets", shape, path)
+    shape = (None,) + manifolds.point_shape(kind)
+    inputs, targets = (numeric_array(doc[name], f"dataset {path}: {name}", shape)
+                       for name in ("inputs", "targets"))
     if len(inputs) != len(targets):
         raise InvalidConfig(f"dataset {path} has {len(inputs)} inputs "
                             f"but {len(targets)} targets")
-    points = np.concatenate([inputs, targets])
-    if not np.all(np.isfinite(points)):
-        raise InvalidConfig(f"dataset {path} holds non-finite values")
-    manifolds.check_on_manifold(kind, points, f"dataset {path}")
+    manifolds.check_on_manifold(kind, np.concatenate([inputs, targets]), f"dataset {path}")
     return Dataset(kind=kind, inputs=inputs, targets=targets, metadata=doc["metadata"])
 
 
-def _component_names(kind, prefix):
-    if kind == manifolds.SPHERE2:
-        return [f"{prefix}_{i}" for i in (1, 2, 3)]
-    return [f"{prefix}_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-
-
 def save_dataset_csv(ds, path):
-    """Flat CSV export: one row per pair, inputs then targets, row-major."""
-    header = _component_names(ds.kind, "x0") + _component_names(ds.kind, "y")
-    flat_in = ds.inputs.reshape(len(ds), -1)
-    flat_tg = ds.targets.reshape(len(ds), -1)
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for a, b in zip(flat_in, flat_tg):
-            writer.writerow([repr(float(v)) for v in a] + [repr(float(v)) for v in b])
+    """Flat CSV export: one row per pair, inputs then targets, row-major.
+
+    Columns are named by 1-based component, x0_1 or y_23 (row 2, column 3).
+    """
+    header = [prefix + "_" + "".join(str(i + 1) for i in index) for prefix in ("x0", "y")
+              for index in np.ndindex(manifolds.point_shape(ds.kind))]
+    write_csv(path, header, np.concatenate([ds.inputs.reshape(len(ds), -1),
+                                            ds.targets.reshape(len(ds), -1)], axis=1).tolist())

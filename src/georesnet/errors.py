@@ -1,8 +1,9 @@
 """Exception types shared across the package, and its file I/O: the JSON
-reader that turns a malformed input file into one of them, and the
-atomic writers of every output file."""
+reader and the array check that turn a malformed input file into one of
+them, and the atomic JSON and CSV writers of every output file."""
 
 import contextlib
+import csv
 import itertools
 import json
 import os
@@ -52,8 +53,9 @@ def check_keys(doc, what, known=None, required=()):
         raise InvalidConfig(f"{what} lacks {missing}")
 
 
-def numeric_array(value, what):
-    """value as a float array; InvalidConfig naming what if it is ragged or not numeric.
+def numeric_array(value, what, shape):
+    """value as a float array; InvalidConfig naming what unless it is numeric,
+    of shape (a leading None matches any length) and finite.
 
     Every leaf must be a JSON number: numpy would also parse a string such
     as "1e3", and read true as 1.0.
@@ -63,11 +65,16 @@ def numeric_array(value, what):
         leaves = [value]
         for _ in range(array.ndim):
             leaves = itertools.chain.from_iterable(leaves)
-        if set(map(type, leaves)) <= {float, int}:
-            return array
+        if not set(map(type, leaves)) <= {float, int}:
+            raise TypeError
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-        pass
-    raise InvalidConfig(f"{what} is not a numeric array")
+        raise InvalidConfig(f"{what} is not a numeric array") from None
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise InvalidConfig(f"{what} must have shape {str(shape).replace('None', 'n')}, "
+                           f"got {array.shape}")
+    if not np.isfinite(array).all():
+        raise InvalidConfig(f"{what} holds non-finite values")
+    return array
 
 
 @contextlib.contextmanager
@@ -120,6 +127,20 @@ def write_json(path, doc, sort_keys=False):
             _write_array(fh, array, len(line) - len(line.lstrip(" ")))
         fh.write(pieces[-1])
         fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    """Write header and rows as csv.writer does, each float as repr(float(v)).
+
+    repr gives the shortest decimal that reads back bitwise; numpy floats
+    go through float so that they are spelled as Python's.  The file
+    replaces path only once complete.
+    """
+    with replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
 
 
 def _template(shape, level):

@@ -287,14 +287,7 @@ def load_checkpoint(path):
         raise InvalidConfig(f"checkpoint {path}: params must be a list of "
                             f"{cfg.layers} objects, one per layer")
     cls, schema, _ = layer_schema(cfg)
-    params = []
-    for n, entry in enumerate(entries):
-        where = f"checkpoint {path} layer {n}"
-        values = [numeric_array(entry.get(name, ()), f"{where}: {name!r}")
-                  for name, _ in schema]
-        for value, (name, shape) in zip(values, schema):
-            if value.shape != shape or not np.all(np.isfinite(value)):
-                raise InvalidConfig(f"{where}: {name!r} must be finite "
-                                    f"with shape {shape}, got shape {value.shape}")
-        params.append(cls(*values))
+    params = [cls(*(numeric_array(entry.get(name, ()), f"checkpoint {path} layer {n}: {name!r}",
+                                  shape) for name, shape in schema))
+              for n, entry in enumerate(entries)]
     return cfg, params, doc.get("meta", {})

@@ -8,7 +8,6 @@ Cells are independent; a diverged cell is recorded with status
 "diverged" and skipped by the aggregation instead of aborting the sweep.
 """
 
-import csv
 import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass
@@ -16,7 +15,8 @@ from dataclasses import MISSING, asdict, dataclass
 import numpy as np
 
 from . import data, network, train
-from .errors import InvalidConfig, check_keys, is_a, read_json_object, replacing, write_json
+from .errors import (InvalidConfig, check_keys, is_a, read_json_object, replacing, write_csv,
+                     write_json)
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -160,15 +160,8 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
 
 
 def write_results_csv(results, path):
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow([
-                r.model, r.layers, r.param_count, r.seed,
-                repr(float(r.final_train_loss)), repr(float(r.final_test_loss)),
-                repr(float(r.final_mean_defect)), r.status,
-            ])
+    write_csv(path, RESULT_COLUMNS, ([getattr(r, name) for name in RESULT_COLUMNS]
+                                     for r in results))
 
 
 def median_by_size(results, model, field="final_test_loss"):

@@ -14,7 +14,6 @@ trains and records every run of the CLI and the sweep, turns it into the
 status "diverged".
 """
 
-import csv
 import math
 import numbers
 import os
@@ -24,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, check_keys, is_a, replacing
+from .errors import DivergenceDetected, InvalidConfig, check_keys, is_a, write_csv
 
 QUICK_EPOCHS = 2000
 
@@ -98,11 +97,7 @@ class RunMetrics:
 
     def to_csv(self, path):
         """Write the per-epoch series; floats as shortest exact decimals."""
-        with replacing(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_COLUMNS)
-            for epoch, *values in zip(*(getattr(self, name) for name in METRICS_COLUMNS)):
-                writer.writerow([int(epoch)] + [repr(float(v)) for v in values])
+        write_csv(path, METRICS_COLUMNS, zip(*(getattr(self, name) for name in METRICS_COLUMNS)))
 
 
 def lr_schedule(epoch, cfg):

@@ -72,6 +72,22 @@ def test_gen_data_optional_csv_export(tmp_path):
     assert len(rows) == 1 + 6
 
 
+def test_gen_data_flags_win_over_the_config_which_wins_over_the_defaults(tmp_path):
+    sizes = write_json(tmp_path / "sizes.json",
+                       {"p_train": 3, "p_test": 2, "csv": False, "steps": 8})
+    steps = write_json(tmp_path / "steps.json", {"steps": 8})
+    flags = ["--train-size", "6", "--test-size", "4", "--csv"]
+    for name, args, want in (("flags", ["--config", sizes, *flags], (6, 4, True)),
+                             ("config", ["--config", sizes], (3, 2, False)),
+                             ("defaults", ["--config", steps],
+                              (data.DEFAULT_PAIRS, data.DEFAULT_PAIRS, False))):
+        out = tmp_path / name
+        assert cli.main(["gen-data", "--experiment", "exp1", "--out", str(out), *args]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["p_train"], meta["p_test"], (out / "train.csv").exists()) == want
+        assert len(data.load_dataset(out / "train.json")) == meta["p_train"]
+
+
 def test_gen_data_rejects_unknown_and_wrongly_typed_config_values(tmp_path, capsys):
     for i, (bad, key) in enumerate((({"p_train": "x"}, "p_train"), ({"p_test": 2.7}, "p_test"),
                                     ({"p_train": True}, "p_train"), ({"steps": 8.0}, "steps"),

@@ -287,9 +287,9 @@ def saved_dataset(tmp_path, experiment):
     return path, json.loads(path.read_text())
 
 
-def rejects(path, doc, error=InvalidConfig):
+def rejects(path, doc, error=InvalidConfig, match=None):
     path.write_text(json.dumps(doc))
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         data.load_dataset(path)
 
 
@@ -322,7 +322,7 @@ def test_load_dataset_rejects_non_finite_values(tmp_path):
     for bad in (float("nan"), float("inf"), None):
         path, doc = saved_dataset(tmp_path, "exp1")
         doc["targets"][1][2] = bad
-        rejects(path, doc)
+        rejects(path, doc, match="train.json: targets")
 
 
 def test_load_dataset_rejects_numbers_written_as_text_or_booleans(tmp_path):

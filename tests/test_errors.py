@@ -1,4 +1,4 @@
-"""The JSON writer: json.dump's bytes, written atomically."""
+"""The JSON and CSV writers: json.dump's bytes and repr's floats, written atomically."""
 
 import json
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from georesnet import errors
-from georesnet.errors import replacing, write_json
+from georesnet.errors import replacing, write_csv, write_json
 
 # every float64 is drawn: NaN, both infinities, -0.0 and subnormals included
 ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
@@ -91,3 +91,12 @@ def test_replacing_writes_line_endings_as_given(tmp_path):
         fh.write("a,b\r\n1,2\n")
     assert path.read_bytes() == b"a,b\r\n1,2\n"
     assert not (tmp_path / "table.csv.tmp").exists()
+
+
+def test_write_csv_spells_floats_by_repr_and_other_values_as_csv_does(tmp_path):
+    path = tmp_path / "table.csv"
+    row = [0.1, 1e-05, 5e-324, -0.0, float("nan"), float("inf"), np.float64(1 / 3),
+           np.int64(7), 3, "a,b"]
+    write_csv(path, list("abcdefghij"), [row])
+    assert path.read_bytes() == (b"a,b,c,d,e,f,g,h,i,j\r\n"
+                                 b'0.1,1e-05,5e-324,-0.0,nan,inf,0.3333333333333333,7,3,"a,b"\r\n')

@@ -450,7 +450,7 @@ def test_load_checkpoint_rejects_non_finite_values(tmp_path):
         path, doc = saved_checkpoint(tmp_path, so3_cfg(1, network.CLASSICAL))
         doc["params"][0]["bias"][4] = bad
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="ckpt.json layer 0: 'bias'"):
             network.load_checkpoint(path)
 
 
