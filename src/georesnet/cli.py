@@ -84,7 +84,7 @@ def cmd_train(args):
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),
-        "train_config": cfg.to_dict(), "data": data_meta,
+        "train_config": dataclasses.asdict(cfg), "data": data_meta,
         "checkpoint": "checkpoint.json", "status": status,
         "epochs_recorded": len(metrics), "wall_time_s": round(metrics.wall_time, 3),
         "final_mean_test_defect": mean_defect,
@@ -110,7 +110,7 @@ def cmd_sweep(args):
     results = sweep.run_sweep(spec, out_dir=args.out, workers=args.workers)
     sweep.save_spec(spec, os.path.join(args.out, "spec.json"))
     write_json(os.path.join(args.out, "meta.json"), {
-        "command": "sweep", "spec": spec.to_dict(),
+        "command": "sweep", "spec": dataclasses.asdict(spec),
         "wall_time_s": round(time.perf_counter() - started, 3),
         "cells": len(results),
         "diverged": sum(1 for r in results if r.status != "ok"),
@@ -131,9 +131,9 @@ def _suite_invariants(rng):
     for m in (1, 2, 4, 8, 16, 32, 64):
         for kind in manifolds.KINDS:
             cfg = network.NetworkConfig(network.MANIFOLD, kind, m)
-            params = network.init_params(cfg, rng)
+            theta = network.init_params(cfg, rng)
             x0 = manifolds.sample_uniform(kind, rng, 72)
-            out = network.network_forward(x0, params, cfg)[0]
+            out = network.network_forward(x0, theta, cfg)[0]
             worst[kind] = max(worst[kind], float(np.max(manifolds.defect(kind, out))))
     return [(f"forward defect on {kind} (M up to 64, 7 x 72 points)", worst[kind], bound)
             for kind, bound in ((manifolds.SPHERE2, 1e-10), (manifolds.SO3, 1e-9))]
@@ -145,10 +145,10 @@ def _suite_gradcheck(rng):
         kind = manifolds.KINDS[rng.integers(2)]
         model = network.MODELS[rng.integers(2)]
         cfg = network.NetworkConfig(model, kind, int(rng.choice((1, 2, 4))))
-        params = network.init_params(cfg, rng)
+        theta = network.init_params(cfg, rng)
         x = manifolds.sample_uniform(kind, rng, 3)
         y = manifolds.sample_uniform(kind, rng, 3)
-        errors.append(grad.finite_diff_check(params, cfg, x, y, lam=1e-3))
+        errors.append(grad.finite_diff_check(theta, cfg, x, y, lam=1e-3))
     # the error has a heavy tail, so the bulk and the worst case are bounded apart
     return [("worst gradient error (50 configs)", max(errors), 1e-4),
             ("median gradient error (50 configs)", float(np.median(errors)), 1e-6)]

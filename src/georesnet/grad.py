@@ -25,7 +25,8 @@ the finite-difference checker at the bottom is the independent oracle.
 objective returns the loss together with its output cotangent, and
 network_gradient chains forward pass, objective and backward sweep: the
 training loop takes every step through it, and `check gradcheck` checks
-it against that oracle.
+it against that oracle.  Both take the flat parameter vector theta;
+only the layer VJPs see per-layer parameters, read from the trace.
 """
 
 import numpy as np
@@ -154,15 +155,13 @@ def objective(outputs, targets, theta=(), lam=0.0, dt=1.0):
     return data + 0.5 * lam * dt * regularizer_norm(theta), (2.0 / len(r)) * r
 
 
-def backward_from_trace(trace, params, theta, cotangent, lam):
-    """Backward sweep over a recorded forward pass, as one flat gradient.
+def backward_from_trace(trace, cotangent):
+    """Backward sweep over a recorded forward pass: the data term's flat gradient.
 
-    params are the per-layer parameters the trace was recorded with and
-    theta the same values as one flat vector (network.flatten_params).
     cotangent is the cotangent of the first len(cotangent) network outputs,
-    shaped like them; only those rows of the trace are swept.  The result
-    is the gradient of the data term, laid out like theta, plus
-    lam * dt * theta from the Tikhonov term.
+    shaped like them; only those rows of the trace are swept, through the
+    per-layer parameters the trace recorded.  The result is laid out like
+    the flat parameter vector theta (network.flatten_params).
     """
     cfg = trace.config
     rows = len(cotangent)
@@ -172,26 +171,27 @@ def backward_from_trace(trace, params, theta, cotangent, lam):
         if cfg.model == network.MANIFOLD:
             upstream, grads[n] = manifold_layer_vjp(
                 trace.states[n, :rows], trace.gates[n, :rows], trace.axials[n, :rows],
-                params[n], cfg, upstream)
+                trace.params[n], cfg, upstream)
         else:
             upstream, grads[n] = classical_layer_vjp(
-                trace.states[n, :rows], trace.gates[n, :rows], params[n], cfg.dt, upstream)
-    return network.flatten_params(grads) + lam * cfg.dt * theta
+                trace.states[n, :rows], trace.gates[n, :rows], trace.params[n], cfg.dt, upstream)
+    return network.flatten_params(grads)
 
 
-def network_gradient(inputs, targets, params, cfg, lam):
+def network_gradient(inputs, targets, theta, cfg, lam):
     """One forward, objective and backward pass: (loss, flat gradient, outputs).
 
-    The objective and its gradient cover the first len(targets) inputs;
-    any inputs after them only ride along through the forward pass, and
-    every layer treats rows independently, so their outputs are bitwise
-    those of a forward of their own.  Training takes each step through
-    this function, and finite_diff_check checks it.
+    The gradient, laid out like theta, is the data term's from
+    backward_from_trace plus lam * dt * theta from the Tikhonov term.  The
+    objective and its gradient cover the first len(targets) inputs; any
+    inputs after them only ride along through the forward pass, and every
+    layer treats rows independently, so their outputs are bitwise those of
+    a forward of their own.  Training takes each step through this
+    function, and finite_diff_check checks it.
     """
-    out, trace = network.network_forward(inputs, params, cfg)
-    theta = network.flatten_params(params)
+    out, trace = network.network_forward(inputs, theta, cfg)
     loss, cotangent = objective(out[:len(targets)], targets, theta, lam, cfg.dt)
-    return loss, backward_from_trace(trace, params, theta, cotangent, lam), out
+    return loss, backward_from_trace(trace, cotangent) + lam * cfg.dt * theta, out
 
 
 def central_difference(fn, vec, step):
@@ -213,19 +213,19 @@ def central_difference(fn, vec, step):
 FINITE_DIFF_STEP = 3e-5
 
 
-def finite_diff_check(params, cfg, inputs, targets, lam):
+def finite_diff_check(theta, cfg, inputs, targets, lam):
     """Worst relative disagreement between exact and numerical gradients.
 
-    Central differences per scalar parameter, at FINITE_DIFF_STEP; the
+    Central differences per scalar of theta, at FINITE_DIFF_STEP; the
     relative error uses max(|exact|, |numerical|, 1e-10) in the
     denominator so that zero gradients do not blow up the ratio.
     """
-    exact = network_gradient(inputs, targets, params, cfg, lam)[1]
+    exact = network_gradient(inputs, targets, theta, cfg, lam)[1]
 
     def value(vec):
-        out = network.network_forward(inputs, network.unflatten_params(vec, cfg), cfg)[0]
+        out = network.network_forward(inputs, vec, cfg)[0]
         return objective(out, targets, vec, lam, cfg.dt)[0]
 
-    numeric = central_difference(value, network.flatten_params(params), FINITE_DIFF_STEP)
+    numeric = central_difference(value, theta, FINITE_DIFF_STEP)
     denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-10)
     return float(np.max(np.abs(exact - numeric) / denom))

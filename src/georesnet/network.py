@@ -16,6 +16,9 @@ Both nets take and return batches of manifold points, (P, 3) on S2 and
 (P, 3, 3) on SO(3).  network_forward is the only function that turns points
 into the baseline's flat ambient rows and back; the layer functions take
 batches in the form their model works on.
+
+Parameters cross every function above the layers as one flat vector theta;
+only network_forward and save_checkpoint cut it up (unflatten_params).
 """
 
 import math
@@ -86,13 +89,15 @@ _FIELDS = {cls: tuple(f.name for f in fields(cls))
 class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer.
 
-    states has M+1 entries (input through output); gates has one entry per
-    layer; axials holds each layer's rotation coordinates and is None for
-    the classical model.  Replaying the recorded states through the layers
-    reproduces the output bitwise.
+    params holds the per-layer views of the pass's theta; states has M+1
+    entries (input through output); gates has one entry per layer; axials
+    holds each layer's rotation coordinates and is None for the classical
+    model.  Replaying the recorded states through the layers reproduces
+    the output bitwise.
     """
 
     config: NetworkConfig
+    params: list
     states: np.ndarray
     gates: np.ndarray
     axials: np.ndarray | None = None
@@ -161,14 +166,14 @@ def classical_layer_forward(x, params, cfg):
     return out, (gate,)
 
 
-def network_forward(x0, params, cfg):
+def network_forward(x0, theta, cfg):
     """Compose all layers, recording a full trace.
 
     x0 is a batch of manifold points, for either model; a lone point
     raises InvalidConfig, since the loss would read its coordinates as
-    samples.  params is the per-layer list, whose length must equal
-    cfg.layers.  The output has the shape of x0.  Geometric inputs whose
-    defect exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise
+    samples.  theta, of cfg's size, is cut into the per-layer views that
+    the trace keeps.  The output has the shape of x0.  Geometric inputs
+    whose defect exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise
     OffManifold; this is the only manifold check on the way through the
     layers.
 
@@ -176,8 +181,7 @@ def network_forward(x0, params, cfg):
     batch is flattened here on entry, the trace records the flat states,
     and the output is reshaped back to points on exit.
     """
-    if len(params) != cfg.layers:
-        raise InvalidConfig(f"expected {cfg.layers} layer params, got {len(params)}")
+    params = unflatten_params(theta, cfg)
     shape = manifolds.point_shape(cfg.space)
     x = np.asarray(x0, dtype=float)
     if x.shape[1:] != shape:
@@ -198,7 +202,7 @@ def network_forward(x0, params, cfg):
         states[n + 1] = x
         for record, value in zip(records, values):
             record[n] = value
-    return x.reshape((len(x),) + shape), ForwardTrace(cfg, states, *records)
+    return x.reshape((len(x),) + shape), ForwardTrace(cfg, params, states, *records)
 
 
 def layer_schema(cfg):
@@ -226,43 +230,45 @@ def param_count(cfg):
 
 
 def init_params(cfg, rng):
-    """Fresh layer parameters, uniform(-0.5, 0.5) times the schema's scale.
+    """Fresh theta, uniform(-0.5, 0.5) times the schema's scale.
 
     One draw fills every layer in stored order, which gives the same
-    numbers as drawing field by field; the arrays are views into it.
+    numbers as drawing field by field.
     """
-    flat = rng.uniform(-0.5, 0.5, param_count(cfg)) * layer_schema(cfg)[2]
-    return unflatten_params(flat, cfg)
+    return rng.uniform(-0.5, 0.5, param_count(cfg)) * layer_schema(cfg)[2]
 
 
 def flatten_params(params):
-    """All scalars as one 1-d vector, layer by layer in field order."""
+    """theta: a per-layer list's scalars as one 1-d vector, layer by layer in field order."""
     return np.concatenate([getattr(p, name).ravel()
                            for p in params for name in _FIELDS[type(p)]])
 
 
-def unflatten_params(vec, cfg):
+def unflatten_params(theta, cfg):
     """Inverse of flatten_params for the given architecture.
 
-    The returned arrays are views into vec, so writing to vec updates them.
+    Each field is one slice of theta's (layers, -1) rows; the returned
+    arrays are views into theta, so writing to theta updates them.
     """
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != param_count(cfg):
-        raise InvalidConfig(f"expected {param_count(cfg)} scalars, got {vec.size}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (param_count(cfg),):
+        raise InvalidConfig(f"expected a vector of {param_count(cfg)} scalars, got {theta.shape}")
     cls, schema, _ = layer_schema(cfg)
-    ends = np.cumsum([math.prod(shape) for _, shape in schema])[:-1]
-    return [cls(*(chunk.reshape(shape) for chunk, (_, shape) in zip(np.split(row, ends), schema)))
-            for row in vec.reshape(cfg.layers, -1)]
+    rows, sizes = theta.reshape(cfg.layers, -1), [math.prod(shape) for _, shape in schema]
+    columns = [rows[:, sum(sizes[:i]):sum(sizes[:i + 1])].reshape((cfg.layers,) + shape)
+               for i, (_, shape) in enumerate(schema)]
+    return [cls(*layer) for layer in zip(*columns)]
 
 
-def save_checkpoint(path, cfg, params, meta=None):
-    """Write architecture and parameters as JSON; floats round-trip bitwise."""
+def save_checkpoint(path, cfg, theta, meta=None):
+    """Write architecture and theta as JSON, one object per layer; floats round-trip bitwise."""
     schema = layer_schema(cfg)[1]
     doc = {
         "model": cfg.model,
         "space": cfg.space,
         "layers": cfg.layers,
-        "params": [{name: getattr(p, name) for name, _ in schema} for p in params],
+        "params": [{name: getattr(p, name) for name, _ in schema}
+                   for p in unflatten_params(theta, cfg)],
         "meta": meta or {},
     }
     if cfg.model == MANIFOLD:
@@ -271,7 +277,7 @@ def save_checkpoint(path, cfg, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as (config, params, meta).
+    """Read a checkpoint back as (config, theta, meta).
 
     Raises InvalidConfig naming the file unless it holds model, space,
     layers and params, params is a list of one object per layer, and each
@@ -290,4 +296,4 @@ def load_checkpoint(path):
     params = [cls(*(numeric_array(entry.get(name, ()), f"checkpoint {path} layer {n}: {name!r}",
                                   shape) for name, shape in schema))
               for n, entry in enumerate(entries)]
-    return cfg, params, doc.get("meta", {})
+    return cfg, flatten_params(params), doc.get("meta", {})

@@ -59,10 +59,10 @@ class SweepSpec:
             raise InvalidConfig("seeds must be nonempty")
         if min(self.seeds) < 0 or self.data_seed < 0:
             raise InvalidConfig("seeds and data_seed must be nonnegative")
-        train.config_from_dict(self.train)  # every cell's config, checked before any runs
-
-    def to_dict(self):
-        return asdict(self)
+        if "seed" in self.train:
+            raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
+        if train.config_from_dict(self.train).epochs < 1:  # every cell's config, before any run
+            raise InvalidConfig("train.epochs must be at least 1: a cell reports its last epoch")
 
 
 def spec_from_dict(doc):
@@ -288,7 +288,7 @@ def render_chart(results, path, title=""):
 
 
 def save_spec(spec, path):
-    write_json(path, spec.to_dict())
+    write_json(path, asdict(spec))
 
 
 def load_spec(path):

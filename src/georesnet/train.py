@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class TrainConfig:
         object.__setattr__(self, "decay_epochs",
                            tuple(sorted(int(e) for e in self.decay_epochs)))
 
-    def to_dict(self):
-        return {**asdict(self), "decay_epochs": list(self.decay_epochs)}
-
 
 def config_from_dict(doc, **overrides):
     """TrainConfig from a flat dict (e.g. a parsed JSON config file)."""
@@ -78,7 +75,7 @@ def config_from_dict(doc, **overrides):
 
 @dataclass
 class RunMetrics:
-    """Per-epoch series plus the final parameters of one training run.
+    """Per-epoch series plus the final flat parameters of one training run.
 
     A run that diverged holds the epochs recorded before the non-finite
     loss, so its length is the epoch at which it diverged.
@@ -89,7 +86,7 @@ class RunMetrics:
     train_loss: np.ndarray
     test_loss: np.ndarray
     max_defect: np.ndarray
-    final_params: list
+    final_params: np.ndarray  # flat, in network.flatten_params layout
     wall_time: float = 0.0
 
     def __len__(self):
@@ -120,10 +117,10 @@ def prediction_defects(outputs, space):
     return manifolds.defect(space, outputs)
 
 
-def _run_metrics(rows, params, start):
+def _run_metrics(rows, theta, start):
     """RunMetrics of the recorded rows (one per epoch, in METRICS_COLUMNS order)."""
     epoch, *series = rows.T
-    return RunMetrics(epoch.astype(int), *series, final_params=params,
+    return RunMetrics(epoch.astype(int), *series, final_params=theta,
                       wall_time=time.perf_counter() - start)
 
 
@@ -141,16 +138,13 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     `check gradcheck` checks, over the train and test inputs together: the
     test rows ride along through the forward pass and leave the train
     gradient unchanged.  Its trace is gone when it returns, so one forward
-    trace is alive at a time.  The parameters live in one flat vector, and
-    params holds views into it, so each SGD step writes straight through
-    to the layers.
+    trace is alive at a time.  The loop holds the parameters only as the
+    flat vector theta, beside the SGD velocity laid out like it.
     """
     if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
         raise InvalidConfig("dataset manifold does not match the network")
-    flat = network.flatten_params(
-        network.init_params(net_cfg, np.random.default_rng(cfg.seed)))
-    params = network.unflatten_params(flat, net_cfg)
-    velocity = np.zeros_like(flat)
+    theta = network.init_params(net_cfg, np.random.default_rng(cfg.seed))
+    velocity = np.zeros_like(theta)
 
     all_x = np.concatenate([train_ds.inputs, test_ds.inputs])
 
@@ -164,18 +158,18 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
         for epoch in range(cfg.epochs):
             lr = lr_schedule(epoch, cfg)
 
-            train_loss, g, all_out = grad.network_gradient(all_x, train_ds.targets, params,
+            train_loss, g, all_out = grad.network_gradient(all_x, train_ds.targets, theta,
                                                            net_cfg, cfg.lam)
             test_loss = grad.objective(all_out[len(train_ds):], test_ds.targets)[0]
 
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}",
-                                         _run_metrics(rows[:epoch], params, start))
+                                         _run_metrics(rows[:epoch], theta, start))
             rows[epoch] = (epoch, lr, train_loss, test_loss,
                            np.max(prediction_defects(all_out, net_cfg.space)))
-            flat[...], velocity = sgd_step(flat, g, velocity, lr, cfg.momentum)
+            theta, velocity = sgd_step(theta, g, velocity, lr, cfg.momentum)
 
-    return _run_metrics(rows, params, start)
+    return _run_metrics(rows, theta, start)
 
 
 def run(train_ds, test_ds, net_cfg, cfg, out_dir=None):

@@ -334,7 +334,7 @@ def test_sweep_names_the_keys_a_spec_lacks(tmp_path, capsys):
 def test_sweep_seed_overrides_the_data_seed_of_either_spec(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "run_sweep",
                         lambda spec, out_dir, workers: os.makedirs(out_dir) or [])
-    config = write_json(tmp_path / "spec.json", sweep.default_spec("exp2").to_dict())
+    config = write_json(tmp_path / "spec.json", dataclasses.asdict(sweep.default_spec("exp2")))
     for source in (["--experiment", "exp2"], ["--config", config]):
         out = tmp_path / source[0].strip("-")
         assert cli.main(["sweep", *source, "--seed", "5", "--out", str(out)]) == 0
@@ -347,7 +347,8 @@ def test_sweep_rejects_negative_seeds_and_non_finite_train_overrides(tmp_path, c
             "seeds": [0], "train": {"epochs": 1}, "p_train": 4, "p_test": 4}
     bad_specs = ({**base, "seeds": [-1]}, {**base, "data_seed": -1},
                  {**base, "train": {"lr0": float("nan")}},
-                 {**base, "train": {"lam": float("inf")}})
+                 {**base, "train": {"lam": float("inf")}},
+                 {**base, "train": {"epochs": 0}}, {**base, "train": {"epochs": 2, "seed": 7}})
     runs = [["--config", write_json(tmp_path / f"spec{i}.json", spec)]
             for i, spec in enumerate(bad_specs)]
     runs.append(["--experiment", "exp1", "--seed", "-1"])

@@ -87,6 +87,48 @@ def test_every_exp2_target_is_its_input_turned_about_the_diagonal():
         assert np.max(np.linalg.norm(off_axis, axis=-1)) <= 1e-12
 
 
+def test_exp2_targets_are_the_scalar_angle_flow_with_a_floor_near_1e_8():
+    # each exp2 state is X0 turned about n = (1,1,1)/sqrt(3) by an angle phi
+    # with phi' = sqrt(3) (tr((R_n(phi) X0)^2) + 3).  With R_n(phi) = a . M for
+    # a = (1, sin phi, 1 - cos phi) and M = (I, K, K^2), K = skew(n), that
+    # trace is the quadratic form a^T Q a, Q_ab = tr(M_a X0 M_b X0).
+    train, test = data.generate_dataset("exp2", 100, 100, seed=2024)
+    x0 = np.concatenate([train.inputs, test.inputs])
+    y = np.concatenate([train.targets, test.targets])
+    k = skew_from_axial(np.ones(3) / math.sqrt(3.0))
+    basis = np.stack([np.eye(3), k, k @ k])
+    mx = basis @ x0[:, None]
+    quad = np.einsum("paij,pbji->pab", mx, mx)
+
+    def coeffs(phi):
+        return np.stack([np.ones_like(phi), np.sin(phi), 1.0 - np.cos(phi)], axis=-1)
+
+    def rate(phi):
+        a = coeffs(phi)
+        return math.sqrt(3.0) * (np.einsum("pa,pab,pb->p", a, quad, a) + 3.0)
+
+    def flow(steps, rk4):
+        h, phi = 1.0 / steps, np.zeros(len(x0))
+        for _ in range(steps):
+            if not rk4:
+                phi = phi + h * rate(phi)
+                continue
+            k1 = rate(phi)
+            k2 = rate(phi + 0.5 * h * k1)
+            k3 = rate(phi + 0.5 * h * k2)
+            k4 = rate(phi + h * k3)
+            phi = phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.einsum("pa,aij->pij", coeffs(phi), basis) @ x0
+
+    # the dataset's own Euler steps, taken on the angle alone
+    assert np.max(np.abs(flow(data.DEFAULT_STEPS, rk4=False) - y)) <= 1e-12
+    exact = flow(2 ** 10, rk4=True)
+    assert np.max(np.abs(flow(2 ** 9, rk4=True) - exact)) <= 1e-8
+    # the MSE any net scores against the true time-one map, at best (9.2e-9)
+    floor = np.sum((y - exact) ** 2) / len(y)
+    assert 1e-9 <= floor <= 1e-7
+
+
 def test_exp2_field_is_tangent_to_the_rotation_group():
     rng = np.random.default_rng(1)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 200)

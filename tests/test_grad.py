@@ -18,17 +18,17 @@ def make_config(model, space, layers):
 
 def loss_at(x, y, vec, cfg, lam):
     """The objective of the net with flat parameters vec, by its own forward."""
-    out = network.network_forward(x, network.unflatten_params(vec, cfg), cfg)[0]
+    out = network.network_forward(x, vec, cfg)[0]
     return grad.objective(out, y, vec, lam, cfg.dt)[0]
 
 
 def random_problem(model, space, layers, batch, seed):
     rng = np.random.default_rng(seed)
     cfg = make_config(model, space, layers)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(space, rng, batch)
     y = manifolds.sample_uniform(space, rng, batch)
-    return cfg, params, x, y
+    return cfg, theta, x, y
 
 
 # --- rotation_cotangent -----------------------------------------------------
@@ -99,11 +99,11 @@ def test_mixed_batch_rotation_cotangent_equals_each_row_alone():
 # --- layer VJPs -------------------------------------------------------------
 
 def test_manifold_vjp_zero_upstream_gives_zero_gradients():
-    cfg, params, x, _ = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 4, 4)
-    _, trace = network.network_forward(x, params, cfg)
+    cfg, theta, x, _ = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 4, 4)
+    _, trace = network.network_forward(x, theta, cfg)
     x_cot, g = grad.manifold_layer_vjp(
         trace.states[0], trace.gates[0], trace.axials[0],
-        params[0], cfg, np.zeros_like(x))
+        trace.params[0], cfg, np.zeros_like(x))
     assert np.array_equal(x_cot, np.zeros_like(x))
     assert np.array_equal(g.gains, np.zeros(2))
     assert np.array_equal(g.weights, np.zeros((2, 3)))
@@ -132,12 +132,12 @@ def test_manifold_vjp_at_zero_gains():
 
 
 def test_manifold_vjp_is_linear_in_the_upstream():
-    cfg, params, x, _ = random_problem(network.MANIFOLD, manifolds.SO3, 1, 3, 6)
-    _, trace = network.network_forward(x, params, cfg)
+    cfg, theta, x, _ = random_problem(network.MANIFOLD, manifolds.SO3, 1, 3, 6)
+    _, trace = network.network_forward(x, theta, cfg)
     rng = np.random.default_rng(7)
     v1, v2 = rng.standard_normal((2,) + x.shape)
     args = (trace.states[0], trace.gates[0], trace.axials[0],
-            params[0], cfg)
+            trace.params[0], cfg)
     x_a, g_a = grad.manifold_layer_vjp(*args, 2.0 * v1 + v2)
     x_1, g_1 = grad.manifold_layer_vjp(*args, v1)
     x_2, g_2 = grad.manifold_layer_vjp(*args, v2)
@@ -177,8 +177,8 @@ def test_classical_vjp_scalar_case_matches_hand_chain_rule():
 
 
 def test_classical_vjp_matches_finite_differences():
-    cfg, params, x, y = random_problem(network.CLASSICAL, manifolds.SPHERE2, 2, 4, 9)
-    assert grad.finite_diff_check(params, cfg, x, y, lam=0.0) <= 1e-6
+    cfg, theta, x, y = random_problem(network.CLASSICAL, manifolds.SPHERE2, 2, 4, 9)
+    assert grad.finite_diff_check(theta, cfg, x, y, lam=0.0) <= 1e-6
 
 
 # --- layer VJPs at saturated gates and at the exponential's branch edges -----
@@ -304,12 +304,12 @@ def test_classical_vjp_matches_central_differences_at_moderate_gates(space, laye
 def test_zero_residual_zero_lambda_gives_zero_everything():
     rng = np.random.default_rng(10)
     cfg = make_config(network.MANIFOLD, manifolds.SPHERE2, 3)
-    params = [network.ManifoldLayerParams(np.zeros(2),
-                                          rng.standard_normal((2, 3)),
-                                          rng.standard_normal(2))
-              for _ in range(3)]
+    theta = network.flatten_params([network.ManifoldLayerParams(np.zeros(2),
+                                                                rng.standard_normal((2, 3)),
+                                                                rng.standard_normal(2))
+                                    for _ in range(3)])
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 5)
-    value, flat_grad, out = grad.network_gradient(x, x, params, cfg, lam=0.0)
+    value, flat_grad, out = grad.network_gradient(x, x, theta, cfg, lam=0.0)
     assert value == 0.0
     assert np.array_equal(flat_grad, np.zeros(network.param_count(cfg)))
     assert np.array_equal(out, x)
@@ -324,7 +324,7 @@ def test_zero_residual_gradient_is_exactly_the_regularizer():
               for _ in range(2)]
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
     lam = 0.35
-    flat_grad = grad.network_gradient(x, x, params, cfg, lam=lam)[1]
+    flat_grad = grad.network_gradient(x, x, network.flatten_params(params), cfg, lam=lam)[1]
     # per layer, in the stored field order: gains, weights, biases
     for p, g in zip(params, network.unflatten_params(flat_grad, cfg)):
         assert np.array_equal(g.gains, lam * cfg.dt * p.gains)
@@ -333,59 +333,58 @@ def test_zero_residual_gradient_is_exactly_the_regularizer():
 
 
 def test_network_loss_includes_the_regularizer_exactly():
-    cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 3, 12)
+    cfg, theta, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 3, 12)
     lam = 1e-2
-    with_reg = grad.network_gradient(x, y, params, cfg, lam)[0]
-    without = grad.network_gradient(x, y, params, cfg, 0.0)[0]
-    reg = 0.5 * lam * cfg.dt * grad.regularizer_norm(network.flatten_params(params))
+    with_reg = grad.network_gradient(x, y, theta, cfg, lam)[0]
+    without = grad.network_gradient(x, y, theta, cfg, 0.0)[0]
+    reg = 0.5 * lam * cfg.dt * grad.regularizer_norm(theta)
     assert np.isclose(with_reg - without, reg, rtol=1e-12)
 
 
 def test_gradient_value_equals_loss_value():
-    cfg, params, x, y = random_problem(network.CLASSICAL, manifolds.SO3, 2, 3, 13)
-    value, _, out = grad.network_gradient(x, y, params, cfg, lam=1e-3)
-    assert value == loss_at(x, y, network.flatten_params(params), cfg, 1e-3)
-    assert np.array_equal(out, network.network_forward(x, params, cfg)[0])
+    cfg, theta, x, y = random_problem(network.CLASSICAL, manifolds.SO3, 2, 3, 13)
+    value, _, out = grad.network_gradient(x, y, theta, cfg, lam=1e-3)
+    assert value == loss_at(x, y, theta, cfg, 1e-3)
+    assert np.array_equal(out, network.network_forward(x, theta, cfg)[0])
 
 
 @pytest.mark.parametrize("space", manifolds.KINDS)
 @pytest.mark.parametrize("model", network.MODELS)
 def test_rows_after_the_targets_ride_along_without_touching_the_gradient(model, space):
-    cfg, params, x, y = random_problem(model, space, 2, 7, 21)
-    value, flat_grad, out = grad.network_gradient(x, y[:4], params, cfg, lam=1e-3)
-    alone = grad.network_gradient(x[:4], y[:4], params, cfg, lam=1e-3)
+    cfg, theta, x, y = random_problem(model, space, 2, 7, 21)
+    value, flat_grad, out = grad.network_gradient(x, y[:4], theta, cfg, lam=1e-3)
+    alone = grad.network_gradient(x[:4], y[:4], theta, cfg, lam=1e-3)
     assert value == alone[0]
     assert np.array_equal(flat_grad, alone[1])
     assert np.array_equal(out[:4], alone[2])
-    assert np.array_equal(out[4:], network.network_forward(x[4:], params, cfg)[0])
+    assert np.array_equal(out[4:], network.network_forward(x[4:], theta, cfg)[0])
 
 
 def test_loss_and_gradient_reject_a_lone_state():
     # objective would read the coordinates of one state as three samples
     for model in network.MODELS:
         for space in manifolds.KINDS:
-            cfg, params, x, y = random_problem(model, space, 2, 1, 20)
+            cfg, theta, x, y = random_problem(model, space, 2, 1, 20)
             with pytest.raises(InvalidConfig, match="batch"):
-                grad.network_gradient(x[0], y[0], params, cfg, 1e-3)
+                grad.network_gradient(x[0], y[0], theta, cfg, 1e-3)
             with pytest.raises(InvalidConfig, match="batch"):
-                grad.finite_diff_check(params, cfg, x[0], y[0], 1e-3)
-            grad.network_gradient(x, y, params, cfg, 1e-3)  # the same state as a batch of one
+                grad.finite_diff_check(theta, cfg, x[0], y[0], 1e-3)
+            grad.network_gradient(x, y, theta, cfg, 1e-3)  # the same state as a batch of one
 
 
 def test_manifold_network_gradient_matches_finite_differences():
-    cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SPHERE2, 4, 8, 14)
-    assert grad.finite_diff_check(params, cfg, x, y, lam=1e-3) <= 1e-5
+    cfg, theta, x, y = random_problem(network.MANIFOLD, manifolds.SPHERE2, 4, 8, 14)
+    assert grad.finite_diff_check(theta, cfg, x, y, lam=1e-3) <= 1e-5
 
 
 def test_so3_network_gradient_matches_finite_differences():
-    cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 15)
-    assert grad.finite_diff_check(params, cfg, x, y, lam=1e-3) <= 1e-5
+    cfg, theta, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 15)
+    assert grad.finite_diff_check(theta, cfg, x, y, lam=1e-3) <= 1e-5
 
 
 def test_directional_derivatives_agree_with_the_gradient():
-    cfg, params, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 16)
-    flat_grad = grad.network_gradient(x, y, params, cfg, lam=1e-3)[1]
-    flat = network.flatten_params(params)
+    cfg, flat, x, y = random_problem(network.MANIFOLD, manifolds.SO3, 2, 4, 16)
+    flat_grad = grad.network_gradient(x, y, flat, cfg, lam=1e-3)[1]
     rng = np.random.default_rng(17)
     eps = 1e-6
     for _ in range(100):

@@ -110,33 +110,33 @@ def test_layer_rejects_off_manifold_input():
     rng = np.random.default_rng(3)
     for cfg, x in ((sphere_cfg(3), 2.0 * E1[None]),
                    (so3_cfg(2), 2.0 * manifolds.sample_uniform(manifolds.SO3, rng, 4))):
-        params = network.init_params(cfg, rng)
+        theta = network.init_params(cfg, rng)
         with pytest.raises(OffManifold):
-            network.network_forward(x, params, cfg)
+            network.network_forward(x, theta, cfg)
 
 
 def test_layer_rejects_non_finite_input():
     rng = np.random.default_rng(4)
     for cfg in (sphere_cfg(2), so3_cfg(3)):
-        params = network.init_params(cfg, rng)
+        theta = network.init_params(cfg, rng)
         for bad in (np.nan, np.inf):
             x = manifolds.sample_uniform(cfg.space, rng, 4)
             x[2] = bad
             with pytest.raises(OffManifold):
-                network.network_forward(x, params, cfg)
+                network.network_forward(x, theta, cfg)
 
 
-def input_cotangent(trace, params, upstream):
+def input_cotangent(trace, upstream):
     """Cotangent of the network input: the layer VJPs chained over a trace."""
     cfg = trace.config
     for n in reversed(range(cfg.layers)):
         if cfg.model == network.MANIFOLD:
             upstream, _ = grad.manifold_layer_vjp(
                 trace.states[n], trace.gates[n], trace.axials[n],
-                params[n], cfg, upstream)
+                trace.params[n], cfg, upstream)
         else:
             upstream, _ = grad.classical_layer_vjp(
-                trace.states[n], trace.gates[n], params[n], cfg.dt, upstream)
+                trace.states[n], trace.gates[n], trace.params[n], cfg.dt, upstream)
     return upstream
 
 
@@ -147,19 +147,19 @@ def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
     rng = np.random.default_rng(5)
     for cfg in (sphere_cfg(3), so3_cfg(3), sphere_cfg(2, network.CLASSICAL),
                 so3_cfg(2, network.CLASSICAL)):
-        params = network.init_params(cfg, rng)
+        theta = network.init_params(cfg, rng)
         # a lone row takes a different BLAS path; several draws give a
         # last-bit difference there a fair chance to show
         for p in (1,) * 8 + (3, 100):
             a = manifolds.sample_uniform(cfg.space, rng, p)
             b = manifolds.sample_uniform(cfg.space, rng, p + 1)
-            out, trace = network.network_forward(np.concatenate([a, b]), params, cfg)
+            out, trace = network.network_forward(np.concatenate([a, b]), theta, cfg)
             # a cotangent per traced row: flat for the baseline
             v = rng.standard_normal(trace.states.shape[1:])
-            x_cot = input_cotangent(trace, params, v)
+            x_cot = input_cotangent(trace, v)
             for part, rows in ((a, slice(0, p)), (b, slice(p, None))):
-                alone, alone_trace = network.network_forward(part, params, cfg)
-                assert np.array_equal(x_cot[rows], input_cotangent(alone_trace, params, v[rows]))
+                alone, alone_trace = network.network_forward(part, theta, cfg)
+                assert np.array_equal(x_cot[rows], input_cotangent(alone_trace, v[rows]))
                 assert np.array_equal(out[rows], alone)
                 assert np.array_equal(trace.states[:, rows], alone_trace.states)
                 assert np.array_equal(trace.gates[:, rows], alone_trace.gates)
@@ -170,16 +170,16 @@ def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
 def test_random_eight_layer_forward_stays_on_the_sphere():
     rng = np.random.default_rng(4)
     cfg = sphere_cfg(8)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 16)
-    out, _ = network.network_forward(x, params, cfg)
+    out, _ = network.network_forward(x, theta, cfg)
     assert np.max(manifolds.defect(manifolds.SPHERE2, out)) <= 1e-11
 
 
 def test_so3_layer_moves_by_left_rotation():
     rng = np.random.default_rng(5)
     cfg = so3_cfg(2)
-    params = network.init_params(cfg, rng)
+    params = network.unflatten_params(network.init_params(cfg, rng), cfg)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 1)
     out, (gate, omega) = network.manifold_layer_forward(x, params[0], cfg)
     assert np.allclose(out, expm_skew3(omega) @ x, atol=1e-15)
@@ -230,9 +230,9 @@ def test_classical_layer_closed_form_at_zero_preactivation():
 def test_classical_layer_drifts_off_the_sphere():
     rng = np.random.default_rng(9)
     cfg = sphere_cfg(1, network.CLASSICAL)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 32)
-    out, _ = network.network_forward(x, params, cfg)
+    out, _ = network.network_forward(x, theta, cfg)
     assert np.max(manifolds.defect(manifolds.SPHERE2, out)) > 0.0
 
 
@@ -241,10 +241,10 @@ def test_classical_layer_drifts_off_the_sphere():
 def test_single_layer_network_equals_the_layer():
     rng = np.random.default_rng(10)
     cfg = sphere_cfg(1)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
-    net_out, _ = network.network_forward(x, params, cfg)
-    layer_out, _ = network.manifold_layer_forward(x, params[0], cfg)
+    net_out, _ = network.network_forward(x, theta, cfg)
+    layer_out, _ = network.manifold_layer_forward(x, network.unflatten_params(theta, cfg)[0], cfg)
     assert np.array_equal(net_out, layer_out)
 
 
@@ -253,11 +253,11 @@ def test_forward_rejects_a_lone_state():
     rng = np.random.default_rng(17)
     for model in network.MODELS:
         for cfg in (sphere_cfg(2, model), so3_cfg(2, model)):
-            params = network.init_params(cfg, rng)
+            theta = network.init_params(cfg, rng)
             x = manifolds.sample_uniform(cfg.space, rng, 1)
             with pytest.raises(InvalidConfig, match="batch"):
-                network.network_forward(x[0], params, cfg)
-            network.network_forward(x, params, cfg)  # the same state as a batch of one
+                network.network_forward(x[0], theta, cfg)
+            network.network_forward(x, theta, cfg)  # the same state as a batch of one
 
 
 def test_forward_maps_an_empty_batch_to_an_empty_batch():
@@ -273,12 +273,12 @@ def test_forward_maps_an_empty_batch_to_an_empty_batch():
 def test_zero_gain_network_is_the_identity():
     rng = np.random.default_rng(11)
     cfg = sphere_cfg(6)
-    params = [network.ManifoldLayerParams(np.zeros(2),
-                                          rng.standard_normal((2, 3)),
-                                          rng.standard_normal(2))
-              for _ in range(6)]
+    theta = network.flatten_params([network.ManifoldLayerParams(np.zeros(2),
+                                                                rng.standard_normal((2, 3)),
+                                                                rng.standard_normal(2))
+                                    for _ in range(6)])
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
-    out, _ = network.network_forward(x, params, cfg)
+    out, _ = network.network_forward(x, theta, cfg)
     assert np.array_equal(out, x)
 
 
@@ -287,9 +287,9 @@ def test_refining_layers_preserves_a_constant_rotation():
     # theta/M compose to the same total rotation for any M, because
     # rotations about one axis commute
     def constant_layer_params(m_layers):
-        return [network.ManifoldLayerParams(
+        return network.flatten_params([network.ManifoldLayerParams(
             gains=np.array([2.0, 0.0]), weights=np.zeros((2, 3)),
-            biases=np.array([0.1, 0.0])) for _ in range(m_layers)]
+            biases=np.array([0.1, 0.0])) for _ in range(m_layers)])
 
     rng = np.random.default_rng(12)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 8)
@@ -301,38 +301,39 @@ def test_refining_layers_preserves_a_constant_rotation():
 def test_forward_trace_replays_bitwise():
     rng = np.random.default_rng(13)
     cfg = so3_cfg(3)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 5)
-    out, trace = network.network_forward(x, params, cfg)
+    out, trace = network.network_forward(x, theta, cfg)
     assert trace.states.shape[0] == cfg.layers + 1
     assert np.array_equal(trace.states[-1], out)
+    assert np.array_equal(network.flatten_params(trace.params), theta)
     for n in range(cfg.layers):
-        step, _ = network.manifold_layer_forward(trace.states[n], params[n], cfg)
+        step, _ = network.manifold_layer_forward(trace.states[n], trace.params[n], cfg)
         assert np.array_equal(step, trace.states[n + 1])
 
 
 def test_forward_is_deterministic():
     rng = np.random.default_rng(14)
     cfg = sphere_cfg(3, network.CLASSICAL)
-    params = network.init_params(cfg, rng)
+    theta = network.init_params(cfg, rng)
     x = rng.standard_normal((6, 3))
-    a, _ = network.network_forward(x, params, cfg)
-    b, _ = network.network_forward(x, params, cfg)
+    a, _ = network.network_forward(x, theta, cfg)
+    b, _ = network.network_forward(x, theta, cfg)
     assert np.array_equal(a, b)
 
 
 def test_forward_checks_param_list_length():
-    cfg = sphere_cfg(3)
-    params = network.init_params(cfg, np.random.default_rng(15))
-    with pytest.raises(InvalidConfig):
-        network.network_forward(E1[None], params[:2], cfg)
+    # the parameters of two layers, handed to a three-layer net
+    theta = network.init_params(sphere_cfg(2), np.random.default_rng(15))
+    with pytest.raises(InvalidConfig, match=r"30 scalars, got \(20,\)"):
+        network.network_forward(E1[None], theta, sphere_cfg(3))
 
 
 def test_classical_forward_checks_state_width():
     cfg = so3_cfg(2, network.CLASSICAL)
-    params = network.init_params(cfg, np.random.default_rng(16))
+    theta = network.init_params(cfg, np.random.default_rng(16))
     with pytest.raises(InvalidConfig):
-        network.network_forward(np.zeros((2, 3)), params, cfg)
+        network.network_forward(np.zeros((2, 3)), theta, cfg)
 
 
 # --- parameter counting and serialization ----------------------------------
@@ -348,15 +349,15 @@ def test_param_count_matches_stored_scalars():
     rng = np.random.default_rng(17)
     for cfg in (sphere_cfg(3), sphere_cfg(2, network.CLASSICAL),
                 so3_cfg(2), so3_cfg(1, network.CLASSICAL)):
-        params = network.init_params(cfg, rng)
-        assert network.flatten_params(params).size == network.param_count(cfg)
+        theta = network.init_params(cfg, rng)
+        assert theta.shape == (network.param_count(cfg),)
+        assert network.flatten_params(network.unflatten_params(theta, cfg)).size == theta.size
 
 
 def test_flatten_round_trip_is_bitwise():
     rng = np.random.default_rng(18)
     for cfg in (so3_cfg(3), sphere_cfg(2, network.CLASSICAL)):
-        params = network.init_params(cfg, rng)
-        flat = network.flatten_params(params)
+        flat = network.init_params(cfg, rng)
         back = network.flatten_params(network.unflatten_params(flat, cfg))
         assert np.array_equal(flat, back)
 
@@ -364,39 +365,41 @@ def test_flatten_round_trip_is_bitwise():
 def test_unflatten_returns_views_into_the_vector():
     rng = np.random.default_rng(20)
     for cfg in (so3_cfg(2), sphere_cfg(2, network.CLASSICAL)):
-        flat = network.flatten_params(network.init_params(cfg, rng))
+        flat = network.init_params(cfg, rng)
         params = network.unflatten_params(flat, cfg)
         for layer in params:
             for field in vars(layer).values():
                 assert np.shares_memory(field, flat)
+                assert field.flags.c_contiguous
         flat[...] = 7.0
         assert np.all(network.flatten_params(params) == 7.0)
 
 
 def test_unflatten_rejects_wrong_size():
-    with pytest.raises(InvalidConfig):
-        network.unflatten_params(np.zeros(7), sphere_cfg(1))
+    # theta is one flat vector: the right count in another shape is refused too
+    for bad in (np.zeros(7), np.zeros((1, 10)), np.zeros((2, 5))):
+        with pytest.raises(InvalidConfig, match="vector of 10 scalars"):
+            network.unflatten_params(bad, sphere_cfg(1))
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     rng = np.random.default_rng(19)
     for cfg in (sphere_cfg(2), so3_cfg(1, network.CLASSICAL)):
-        params = network.init_params(cfg, rng)
+        theta = network.init_params(cfg, rng)
         path = tmp_path / f"{cfg.model}-{cfg.space}.json"
-        network.save_checkpoint(path, cfg, params, meta={"note": "test"})
-        cfg2, params2, meta = network.load_checkpoint(path)
+        network.save_checkpoint(path, cfg, theta, meta={"note": "test"})
+        cfg2, theta2, meta = network.load_checkpoint(path)
         assert (cfg2.model, cfg2.space, cfg2.layers) == \
             (cfg.model, cfg.space, cfg.layers)
-        assert np.array_equal(network.flatten_params(params2),
-                              network.flatten_params(params))
+        assert np.array_equal(theta2, theta)
         assert meta == {"note": "test"}
 
 
 def test_checkpoint_records_generator_names(tmp_path):
     cfg = so3_cfg(1)
-    params = network.init_params(cfg, np.random.default_rng(21))
+    theta = network.init_params(cfg, np.random.default_rng(21))
     path = tmp_path / "gen.json"
-    network.save_checkpoint(path, cfg, params)
+    network.save_checkpoint(path, cfg, theta)
     doc = json.loads(path.read_text())
     assert doc["generators"] == ["rot_z", "rot_y", "rot_x"]
 
@@ -483,4 +486,4 @@ def test_init_is_seed_deterministic():
     cfg = so3_cfg(2, network.CLASSICAL)
     a = network.init_params(cfg, np.random.default_rng(99))
     b = network.init_params(cfg, np.random.default_rng(99))
-    assert np.array_equal(network.flatten_params(a), network.flatten_params(b))
+    assert np.array_equal(a, b)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from georesnet import data, manifolds, network, sweep, train
+from georesnet import data, network, sweep, train
 from georesnet.errors import InvalidConfig
 
 
@@ -96,14 +96,15 @@ def test_spec_checks_its_train_overrides():
     # the spec is read, before any dataset is generated
     for bad, word in (({"lr": 1}, "lr"), ({"epochs": 2.5}, "epochs"),
                       ({"lr0": -1.0}, "lr0"), ({"decay_epochs": 500}, "decay_epochs"),
-                      ({"batch_size": 3}, "batch_size")):
+                      ({"batch_size": 3}, "batch_size"), ({"epochs": 0}, "epochs"),
+                      ({"epochs": 2, "seed": 7}, "seeds")):
         with pytest.raises(InvalidConfig, match=word):
             tiny_spec(train=bad)
 
 
 def test_spec_dict_round_trip(tmp_path):
     spec = tiny_spec()
-    assert sweep.spec_from_dict(spec.to_dict()) == spec
+    assert sweep.spec_from_dict(dataclasses.asdict(spec)) == spec
     path = tmp_path / "spec.json"
     sweep.save_spec(spec, path)
     assert sweep.load_spec(path) == spec
@@ -166,11 +167,10 @@ def test_run_sweep_writes_the_artifact_tree(tmp_path):
     for res in results:
         cell = out / "cells" / f"{res.model}-m{res.layers}-s{res.seed}"
         assert (cell / "metrics.csv").exists()
-        cfg, params, meta = network.load_checkpoint(cell / "checkpoint.json")
+        cfg, theta, meta = network.load_checkpoint(cell / "checkpoint.json")
         assert cfg.model == res.model and cfg.layers == res.layers
         assert meta["seed"] == res.seed and meta["status"] == res.status
-        assert np.array_equal(network.flatten_params(params),
-                              network.flatten_params(res.metrics.final_params))
+        assert np.array_equal(theta, res.metrics.final_params)
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(sweep.RESULT_COLUMNS)

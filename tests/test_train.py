@@ -1,6 +1,7 @@
 """Objective, schedule, optimizer step, and the training loop."""
 
 import csv
+import dataclasses
 import math
 import weakref
 
@@ -139,7 +140,7 @@ def test_config_rejects_wrongly_typed_values():
 
 def test_config_from_dict_round_trips_and_rejects_unknowns():
     cfg = train.TrainConfig(lr0=2.0, epochs=17)
-    assert train.config_from_dict(cfg.to_dict()) == cfg
+    assert train.config_from_dict(dataclasses.asdict(cfg)) == cfg
     assert train.config_from_dict({}, epochs=5).epochs == 5
     assert train.config_from_dict({"decay_epochs": [10, 20]}).decay_epochs == (10, 20)
     # training is full batch only; batch_size is not a key
@@ -157,8 +158,7 @@ def test_zero_epochs_returns_the_initialization():
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
     assert len(metrics) == 0
     expected = network.init_params(net_cfg, np.random.default_rng(12))
-    assert np.array_equal(network.flatten_params(metrics.final_params),
-                          network.flatten_params(expected))
+    assert np.array_equal(metrics.final_params, expected)
 
 
 def test_train_loop_rejects_a_manifold_mismatch():
@@ -173,14 +173,13 @@ def test_first_row_describes_the_untouched_initialization():
     net_cfg = sphere_config(2)
     cfg = train.TrainConfig(epochs=1, seed=5)
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    params = network.init_params(net_cfg, np.random.default_rng(5))
-    out, _ = network.network_forward(train_ds.inputs, params, net_cfg)
-    expected = grad.objective(out, train_ds.targets, network.flatten_params(params),
-                              cfg.lam, net_cfg.dt)[0]
+    theta = network.init_params(net_cfg, np.random.default_rng(5))
+    out, _ = network.network_forward(train_ds.inputs, theta, net_cfg)
+    expected = grad.objective(out, train_ds.targets, theta, cfg.lam, net_cfg.dt)[0]
     assert metrics.train_loss[0] == expected
     # the test rows ride along in the train pass; they must come out as
     # they would from a forward of their own
-    test_out, _ = network.network_forward(test_ds.inputs, params, net_cfg)
+    test_out, _ = network.network_forward(test_ds.inputs, theta, net_cfg)
     assert metrics.test_loss[0] == grad.objective(test_out, test_ds.targets)[0]
     worst = max(np.max(manifolds.defect(net_cfg.space, out)),
                 np.max(manifolds.defect(net_cfg.space, test_out)))
@@ -198,12 +197,11 @@ def test_a_training_step_is_the_network_gradient_of_the_train_rows(model, experi
     net_cfg = network.NetworkConfig(model, train_ds.kind, 2)
     cfg = train.TrainConfig(epochs=1, seed=4)
     metrics = train.train_loop(train_ds, test_ds, net_cfg, cfg)
-    params = network.init_params(net_cfg, np.random.default_rng(cfg.seed))
-    loss, g, _ = grad.network_gradient(train_ds.inputs, train_ds.targets, params, net_cfg,
+    theta = network.init_params(net_cfg, np.random.default_rng(cfg.seed))
+    loss, g, _ = grad.network_gradient(train_ds.inputs, train_ds.targets, theta, net_cfg,
                                        cfg.lam)
     assert metrics.train_loss[0] == loss
-    assert np.array_equal(network.flatten_params(metrics.final_params),
-                          network.flatten_params(params) - cfg.lr0 * g)
+    assert np.array_equal(metrics.final_params, theta - cfg.lr0 * g)
 
 
 def test_train_loop_is_deterministic():
@@ -214,8 +212,7 @@ def test_train_loop_is_deterministic():
     b = train.train_loop(train_ds, test_ds, net_cfg, cfg)
     assert np.array_equal(a.train_loss, b.train_loss)
     assert np.array_equal(a.test_loss, b.test_loss)
-    assert np.array_equal(network.flatten_params(a.final_params),
-                          network.flatten_params(b.final_params))
+    assert np.array_equal(a.final_params, b.final_params)
 
 
 def test_small_steps_without_momentum_descend():
