@@ -9,7 +9,7 @@ same artifacts (sweep.csv, sweep.svg, per-cell metrics) to demos/out.
 
 import os
 
-from georesnet import data, network, sweep
+from georesnet import network, sweep
 
 spec = sweep.SweepSpec(
     experiment="exp1",

@@ -189,6 +189,7 @@ def network_gradient(inputs, targets, theta, cfg, lam):
     a forward of their own.  Training takes each step through this
     function, and finite_diff_check checks it.
     """
+    theta = np.asarray(theta, dtype=float)
     out, trace = network.network_forward(inputs, theta, cfg)
     loss, cotangent = objective(out[:len(targets)], targets, theta, lam, cfg.dt)
     return loss, backward_from_trace(trace, cotangent) + lam * cfg.dt * theta, out

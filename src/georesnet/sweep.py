@@ -11,6 +11,7 @@ Cells are independent; a diverged cell is recorded with status
 import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,10 @@ RESULT_COLUMNS = ("model", "layers", "param_count", "seed", "final_train_loss",
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One experiment's grid: layer counts per model family, seeds, shared
+    train overrides and dataset sizes.  Making a spec builds every cell's
+    configs through cell_order, so a bad cell fails before any run."""
+
     experiment: str
     manifold_layers: tuple
     classical_layers: tuple
@@ -53,15 +58,13 @@ class SweepSpec:
                 raise InvalidConfig(f"{name} repeats an entry: {list(values)}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "train", dict(self.train or {}))
-        if not self.manifold_layers or not self.classical_layers:
-            raise InvalidConfig("layer lists must be nonempty")
-        if not self.seeds:
-            raise InvalidConfig("seeds must be nonempty")
-        if min(self.seeds) < 0 or self.data_seed < 0:
-            raise InvalidConfig("seeds and data_seed must be nonnegative")
+        if not (self.manifold_layers and self.classical_layers and self.seeds):
+            raise InvalidConfig("layer lists and seeds must be nonempty")
+        if self.data_seed < 0:
+            raise InvalidConfig("data_seed must be nonnegative")
         if "seed" in self.train:
             raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
-        if train.config_from_dict(self.train).epochs < 1:  # every cell's config, before any run
+        if any(cfg.epochs < 1 for _, cfg in cell_order(self)):  # every cell, before any run
             raise InvalidConfig("train.epochs must be at least 1: a cell reports its last epoch")
 
 
@@ -98,36 +101,33 @@ class CellResult:
 
 
 def cell_order(spec):
-    """Deterministic cell enumeration: classical first, then geometric."""
-    return [(model, layers, seed)
+    """The one place a spec becomes cells: each cell's (NetworkConfig, TrainConfig),
+    classical first, then geometric, by layer count, then by seed."""
+    kind = data.ode_by_id(spec.experiment).kind
+    return [(network.NetworkConfig(model, kind, layers),
+             train.config_from_dict(spec.train, seed=seed))
             for model, grid in ((network.CLASSICAL, spec.classical_layers),
                                 (network.MANIFOLD, spec.manifold_layers))
             for layers in grid for seed in spec.seeds]
 
 
-def run_cell(spec, datasets, model, layers, seed, out_dir=None):
-    """Train one sweep cell; divergence becomes a status, not an exception.
-
-    With out_dir, the cell's run is written to
-    out_dir/cells/<model>-m<layers>-s<seed>/ (see train.run).
-    """
-    train_ds, test_ds = datasets
-    ode = data.ode_by_id(spec.experiment)
-    net_cfg = network.NetworkConfig(model, ode.kind, layers)
-    cfg = train.config_from_dict(spec.train, seed=seed)
+def run_cell(datasets, net_cfg, cfg, out_dir=None):
+    """Train one cell on exactly the configs given; divergence becomes a
+    status, not an exception.  With out_dir the run is written to
+    out_dir/cells/<model>-m<layers>-s<seed>/ (see train.run)."""
     cell_dir = None if out_dir is None else os.path.join(
-        out_dir, "cells", f"{model}-m{layers}-s{seed}")
-    metrics, status, mean_defect = train.run(train_ds, test_ds, net_cfg, cfg, cell_dir)
+        out_dir, "cells", f"{net_cfg.model}-m{net_cfg.layers}-s{cfg.seed}")
+    metrics, status, mean_defect = train.run(*datasets, net_cfg, cfg, cell_dir)
     finished = status == "ok" and len(metrics)
     return CellResult(
-        model=model, layers=layers, param_count=network.param_count(net_cfg), seed=seed,
+        net_cfg.model, net_cfg.layers, network.param_count(net_cfg), cfg.seed,
         final_train_loss=float(metrics.train_loss[-1]) if finished else float("nan"),
         final_test_loss=float(metrics.test_loss[-1]) if finished else float("nan"),
         final_mean_defect=mean_defect, status=status, metrics=metrics)
 
 
 def run_sweep(spec, out_dir=None, workers=1, datasets=None):
-    """Run all cells and return CellResults in deterministic order.
+    """Run every cell of cell_order(spec) and return CellResults in that order.
 
     Datasets are generated once from (experiment, data_seed) unless an
     explicit (train, test) pair is passed.  With workers > 1 the cells
@@ -140,18 +140,17 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
     if datasets is None:
         datasets = data.generate_dataset(spec.experiment, spec.p_train,
                                          spec.p_test, spec.data_seed)
-    models, layers, seeds = zip(*cell_order(spec))
-    n = len(models)
-    jobs = ([spec] * n, [datasets] * n, models, layers, seeds, [out_dir] * n)
-    workers = min(workers, n)  # a pool starts every worker at its first task
+    cells = cell_order(spec)
+    job = partial(run_cell, datasets, out_dir=out_dir)  # read per sweep, so a wrapped run_cell runs
+    workers = min(workers, len(cells))  # a pool starts every worker at its first task
     if workers > 1:
         # imported only here: the process pool machinery is not needed otherwise
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, *jobs))
+            results = list(pool.map(job, *zip(*cells)))
     else:
-        results = list(map(run_cell, *jobs))
+        results = list(map(job, *zip(*cells)))
     if out_dir is not None:
         write_results_csv(results, os.path.join(out_dir, "sweep.csv"))
         render_chart(results, os.path.join(out_dir, "sweep.svg"),

@@ -56,8 +56,8 @@ class TrainConfig:
             raise InvalidConfig("decay_factor must lie in (0, 1)")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig("momentum must lie in [0, 1)")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be nonnegative")
+        if self.epochs < 0 or min(self.decay_epochs, default=0) < 0:
+            raise InvalidConfig("epochs and decay_epochs must be nonnegative")
         if not 0.0 <= self.lam < math.inf:
             raise InvalidConfig("lam must be finite and nonnegative")
         if self.seed < 0:

@@ -128,7 +128,9 @@ def benchmark_runs():
     runs = {}
     for experiment in ("exp1", "exp2"):
         started = time.perf_counter()
-        results = sweep.run_sweep(sweep.default_spec(experiment))
+        # two processes, as `sweep --workers 2` runs it; the cells and their
+        # results are bitwise those of a serial sweep
+        results = sweep.run_sweep(sweep.default_spec(experiment), workers=2)
         runs[experiment] = (results, time.perf_counter() - started)
     return runs
 

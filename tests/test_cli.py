@@ -348,7 +348,9 @@ def test_sweep_rejects_negative_seeds_and_non_finite_train_overrides(tmp_path, c
     bad_specs = ({**base, "seeds": [-1]}, {**base, "data_seed": -1},
                  {**base, "train": {"lr0": float("nan")}},
                  {**base, "train": {"lam": float("inf")}},
-                 {**base, "train": {"epochs": 0}}, {**base, "train": {"epochs": 2, "seed": 7}})
+                 {**base, "train": {"epochs": 0}}, {**base, "train": {"epochs": 2, "seed": 7}},
+                 # checked when the spec is read, before a classical cell trains
+                 {**base, "manifold_layers": [0]}, {**base, "classical_layers": [1, -1]})
     runs = [["--config", write_json(tmp_path / f"spec{i}.json", spec)]
             for i, spec in enumerate(bad_specs)]
     runs.append(["--experiment", "exp1", "--seed", "-1"])

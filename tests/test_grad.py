@@ -360,6 +360,17 @@ def test_rows_after_the_targets_ride_along_without_touching_the_gradient(model, 
     assert np.array_equal(out[4:], network.network_forward(x[4:], theta, cfg)[0])
 
 
+@pytest.mark.parametrize("model", network.MODELS)
+def test_a_list_theta_gives_the_gradient_of_the_array(model):
+    # network_forward accepts a list theta, so the gradient path must too
+    cfg, theta, x, y = random_problem(model, manifolds.SPHERE2, 1, 5, 22)
+    value, flat_grad, out = grad.network_gradient(x, y, list(theta), cfg, 1e-3)
+    expected = grad.network_gradient(x, y, theta, cfg, 1e-3)
+    assert value == expected[0]
+    assert np.array_equal(flat_grad, expected[1])
+    assert np.array_equal(out, expected[2])
+
+
 def test_loss_and_gradient_reject_a_lone_state():
     # objective would read the coordinates of one state as three samples
     for model in network.MODELS:

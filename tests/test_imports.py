@@ -1,9 +1,9 @@
 """No module imports a name it never uses.
 
 No linter ships with the project, so this is the one lint rule the suite
-keeps: every module-level import in src/georesnet/*.py and tests/*.py must
-be referenced somewhere in its own file.  The package's __init__ is left
-out, since its imports are re-exports.
+keeps: every module-level import in src/georesnet/*.py, tests/*.py and
+demos/*.py must be referenced somewhere in its own file.  The package's
+__init__ is left out, since its imports are re-exports.
 """
 
 import ast
@@ -12,7 +12,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "georesnet").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src" / "georesnet").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source):

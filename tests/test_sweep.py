@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from georesnet import data, network, sweep, train
+from georesnet import data, manifolds, network, sweep, train
 from georesnet.errors import InvalidConfig
 
 
@@ -71,6 +71,12 @@ def test_spec_validation():
         tiny_spec(seeds=(0, -1))
     with pytest.raises(InvalidConfig, match="nonnegative"):
         tiny_spec(data_seed=-1)
+    # every cell is built when the spec is made, so a bad layer count in
+    # either list fails before any cell of the other list has trained
+    for field in ("manifold_layers", "classical_layers"):
+        for bad in ((0,), (1, -1)):
+            with pytest.raises(InvalidConfig, match="layers must be a positive integer"):
+                tiny_spec(**{field: bad})
 
 
 def test_spec_rejects_a_repeated_layer_count_or_seed():
@@ -96,6 +102,7 @@ def test_spec_checks_its_train_overrides():
     # the spec is read, before any dataset is generated
     for bad, word in (({"lr": 1}, "lr"), ({"epochs": 2.5}, "epochs"),
                       ({"lr0": -1.0}, "lr0"), ({"decay_epochs": 500}, "decay_epochs"),
+                      ({"decay_epochs": [-5]}, "decay_epochs"),
                       ({"batch_size": 3}, "batch_size"), ({"epochs": 0}, "epochs"),
                       ({"epochs": 2, "seed": 7}, "seeds")):
         with pytest.raises(InvalidConfig, match=word):
@@ -113,20 +120,29 @@ def test_spec_dict_round_trip(tmp_path):
 
 
 def test_cell_order_is_classical_first_and_exhaustive():
-    spec = tiny_spec(manifold_layers=(1, 2), classical_layers=(4,), seeds=(0, 1))
+    spec = tiny_spec(manifold_layers=(1, 2), classical_layers=(4,), seeds=(0, 1),
+                     train={"epochs": 3, "lr0": 2.0})
     cells = sweep.cell_order(spec)
-    assert cells == [
+    assert [(net_cfg.model, net_cfg.layers, cfg.seed) for net_cfg, cfg in cells] == [
         (network.CLASSICAL, 4, 0), (network.CLASSICAL, 4, 1),
         (network.MANIFOLD, 1, 0), (network.MANIFOLD, 1, 1),
         (network.MANIFOLD, 2, 0), (network.MANIFOLD, 2, 1),
     ]
+    assert all(net_cfg.space == manifolds.SPHERE2 for net_cfg, _ in cells)
+    assert [cfg for _, cfg in cells] == [train.TrainConfig(epochs=3, lr0=2.0, seed=seed)
+                                         for seed in (0, 1) * 3]
 
 
 # --- cells ------------------------------------------------------------------
 
+def cell(model, layers, **overrides):
+    """A cell's configs on tiny_spec's sphere data, as cell_order builds them."""
+    return (network.NetworkConfig(model, manifolds.SPHERE2, layers),
+            train.config_from_dict({"epochs": 3, **overrides}, seed=0))
+
+
 def test_run_cell_trains_and_reports():
-    spec = tiny_spec()
-    res = sweep.run_cell(spec, tiny_datasets(spec), network.MANIFOLD, 2, seed=0)
+    res = sweep.run_cell(tiny_datasets(tiny_spec()), *cell(network.MANIFOLD, 2))
     assert res.status == "ok"
     assert res.model == network.MANIFOLD and res.layers == 2 and res.seed == 0
     assert res.param_count == 20
@@ -137,8 +153,8 @@ def test_run_cell_trains_and_reports():
 
 
 def test_run_cell_records_divergence_as_a_status():
-    spec = tiny_spec(train={"epochs": 30, "lr0": 1e8})
-    res = sweep.run_cell(spec, tiny_datasets(spec), network.CLASSICAL, 1, seed=0)
+    res = sweep.run_cell(tiny_datasets(tiny_spec()),
+                         *cell(network.CLASSICAL, 1, epochs=30, lr0=1e8))
     assert res.status == "diverged"
     assert math.isnan(res.final_train_loss)
     assert math.isnan(res.final_test_loss)
@@ -148,8 +164,8 @@ def test_run_cell_records_divergence_as_a_status():
 def test_run_cell_records_a_geometric_divergence_with_a_nan_defect():
     # the parameters overflow the rotation angle, so the layer states go
     # NaN and so does the loss; the cell still ends as a status
-    spec = tiny_spec(train={"epochs": 30, "lr0": 1e100})
-    res = sweep.run_cell(spec, tiny_datasets(spec), network.MANIFOLD, 2, seed=0)
+    res = sweep.run_cell(tiny_datasets(tiny_spec()),
+                         *cell(network.MANIFOLD, 2, epochs=30, lr0=1e100))
     assert res.status == "diverged"
     assert len(res.metrics) < 30
     assert math.isnan(res.final_mean_defect)
@@ -229,13 +245,18 @@ def test_sweep_rejects_fewer_than_one_worker(pool_sizes):
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
+    # a real process pool: every file of the tree, cells included, is bitwise the serial one
     spec = tiny_spec()
     ds = tiny_datasets(spec)
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     sweep.run_sweep(spec, out_dir=serial, datasets=ds)
     sweep.run_sweep(spec, out_dir=parallel, workers=2, datasets=ds)
-    assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert len(files) == 2 + 2 * 4  # sweep.csv, sweep.svg, and two files per cell
+    assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*") if p.is_file())
+    for name in files:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 # --- aggregation and chart --------------------------------------------------

@@ -115,7 +115,7 @@ def test_train_config_validates_its_fields():
     for bad in (dict(lr0=0.0), dict(lr0=-1.0), dict(momentum=1.0),
                 dict(momentum=-0.1), dict(decay_factor=0.0),
                 dict(decay_factor=1.0), dict(epochs=-1),
-                dict(lam=-1e-3), dict(seed=-1),
+                dict(lam=-1e-3), dict(seed=-1), dict(decay_epochs=(500, -5)),
                 # NaN fails every comparison and inf passes a sign check;
                 # either would train and read as a divergence
                 dict(lr0=math.nan), dict(lr0=math.inf), dict(lam=math.nan),
