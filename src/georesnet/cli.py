@@ -70,9 +70,6 @@ def _load_datasets(args, experiment):
 
 def cmd_train(args):
     """Train one model.  Config keys: any TrainConfig field."""
-    if args.data and args.data_seed is not None:
-        print("train takes --data or --data-seed, not both", file=sys.stderr)
-        return 2
     ode = data.ode_by_id(args.experiment)
     net_cfg = network.NetworkConfig(args.model, ode.kind, args.layers)
     overrides = {"seed": args.seed} if args.seed is not None else {}
@@ -100,9 +97,6 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     """Run the benchmark sweep.  --config names a sweep spec JSON."""
-    if bool(args.config) == bool(args.experiment):
-        print("sweep needs --experiment or --config, not both", file=sys.stderr)
-        return 2
     spec = sweep.load_spec(args.config) if args.config else sweep.default_spec(args.experiment)
     if args.seed is not None:
         spec = dataclasses.replace(spec, data_seed=args.seed)
@@ -254,19 +248,21 @@ def build_parser():
     p.add_argument("--model", required=True, choices=list(network.MODELS))
     p.add_argument("--experiment", required=True)
     p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--data", default=None, help="directory with train.json/test.json")
-    p.add_argument("--data-seed", type=int, default=None,
-                   help="seed for on-the-fly data when --data is absent (default 0)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="directory with train.json/test.json")
+    source.add_argument("--data-seed", type=int, default=None,
+                        help="seed for on-the-fly data when --data is absent (default 0)")
     p.add_argument("--seed", type=int, default=None, help="training seed override")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="run the parameter-count benchmark sweep")
-    p.add_argument("--experiment", default=None)
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--experiment", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="dataset seed override")
-    p.add_argument("--config", default=None, help="sweep spec JSON")
+    grid.add_argument("--config", default=None, help="sweep spec JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -85,16 +85,17 @@ def rotation_cotangent(g, omega):
         + c[..., None] * _axis_pairing(g @ wt + wt @ g)
 
 
-def manifold_layer_vjp(x, gate, omega, params, cfg, vout):
+def manifold_layer_vjp(x, saved, params, cfg, vout):
     """Backward step for one geometric layer on a batch.
 
-    Takes the trace entries recorded by the forward pass (input states,
-    gates, rotation coordinates) plus the cotangent vout of the layer
-    output, and returns the cotangent of the layer input along with the
+    Takes the layer input x, the (gates, rotation coordinates) that
+    network.manifold_layer_forward saved, and the cotangent vout of the
+    layer output; returns the cotangent of the layer input along with the
     parameter gradient.  The input cotangent accounts both for the
     rotation acting on x and for the rotation's own dependence on x
     through the gates.  Parameter gradients are summed over the batch.
     """
+    gate, omega = saved
     if cfg.space == manifolds.SPHERE2:
         g = vout[..., :, None] * x[..., None, :]
         x_cot = np.einsum("pij,pi->pj", network.expm_skew3(omega), vout)
@@ -117,14 +118,15 @@ def manifold_layer_vjp(x, gate, omega, params, cfg, vout):
     return x_cot, network.ManifoldLayerParams(gain_grad, weight_grad, bias_grad)
 
 
-def classical_layer_vjp(x, s, params, dt, vout):
+def classical_layer_vjp(x, saved, params, cfg, vout):
     """Backward step for one residual block on a batch; closed-form chain rule.
 
-    x holds the flat input rows and s = sigma(w_in x + bias) the gates, as
-    the forward pass recorded them.  The per-row products go through
-    network._matmul_rows, so a row's input cotangent does not depend on
-    the batch it came in.
+    x holds the flat input rows and saved the (gates,) that
+    network.classical_layer_forward returned, s = sigma(w_in x + bias).
+    The per-row products go through network._matmul_rows, so a row's input
+    cotangent does not depend on the batch it came in.
     """
+    (s,), dt = saved, cfg.dt
     w_out_grad = dt * (vout.T @ s)
     t = network._matmul_rows(vout, params.w_out) * (s * (1.0 - s))
     w_in_grad = dt * (t.T @ x)
@@ -165,16 +167,13 @@ def backward_from_trace(trace, cotangent):
     """
     cfg = trace.config
     rows = len(cotangent)
-    upstream = cotangent.reshape((rows,) + trace.states.shape[2:])  # flat rows for the baseline
+    upstream = cotangent.reshape((rows,) + trace.states[0].shape[1:])  # flat rows for the baseline
+    # read from the module globals on each call, so a wrapped VJP sees every layer
+    layer_vjp = manifold_layer_vjp if cfg.model == network.MANIFOLD else classical_layer_vjp
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
-        if cfg.model == network.MANIFOLD:
-            upstream, grads[n] = manifold_layer_vjp(
-                trace.states[n, :rows], trace.gates[n, :rows], trace.axials[n, :rows],
-                trace.params[n], cfg, upstream)
-        else:
-            upstream, grads[n] = classical_layer_vjp(
-                trace.states[n, :rows], trace.gates[n, :rows], trace.params[n], cfg.dt, upstream)
+        upstream, grads[n] = layer_vjp(trace.states[n][:rows], [s[:rows] for s in trace.saved[n]],
+                                       trace.params[n], cfg, upstream)
     return network.flatten_params(grads)
 
 

@@ -22,6 +22,7 @@ only network_forward and save_checkpoint cut it up (unflatten_params).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -46,8 +47,9 @@ class NetworkConfig:
         if self.model not in MODELS:
             raise InvalidConfig(f"unknown model {self.model!r}; expected one of {MODELS}")
         manifolds.check_kind(self.space)
-        if not is_a(int, self.layers) or self.layers < 1:
+        if not is_a(numbers.Integral, self.layers) or self.layers < 1:
             raise InvalidConfig(f"layers must be a positive integer, got {self.layers!r}")
+        object.__setattr__(self, "layers", int(self.layers))
 
     @property
     def dt(self):
@@ -89,18 +91,17 @@ _FIELDS = {cls: tuple(f.name for f in fields(cls))
 class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer.
 
-    params holds the per-layer views of the pass's theta; states has M+1
-    entries (input through output); gates has one entry per layer; axials
-    holds each layer's rotation coordinates and is None for the classical
-    model.  Replaying the recorded states through the layers reproduces
-    the output bitwise.
+    params holds the per-layer views of the pass's theta; states the input
+    (C-contiguous) and the M arrays the layers returned, flat rows for the
+    baseline; saved[n] the tuple layer n returned beside its output, which
+    its VJP takes back.  For a C-contiguous input, replaying states[n]
+    through layer n reproduces states[n + 1] and saved[n] bitwise.
     """
 
     config: NetworkConfig
     params: list
-    states: np.ndarray
-    gates: np.ndarray
-    axials: np.ndarray | None = None
+    states: list
+    saved: list
 
 
 def sigmoid(z):
@@ -172,10 +173,10 @@ def network_forward(x0, theta, cfg):
     x0 is a batch of manifold points, for either model; a lone point
     raises InvalidConfig, since the loss would read its coordinates as
     samples.  theta, of cfg's size, is cut into the per-layer views that
-    the trace keeps.  The output has the shape of x0.  Geometric inputs
-    whose defect exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise
-    OffManifold; this is the only manifold check on the way through the
-    layers.
+    the trace keeps.  The output has the shape of x0 and may share memory
+    with trace.states[-1].  Geometric inputs whose defect exceeds
+    manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
+    only manifold check on the way through the layers.
 
     The baseline works on flat ambient rows of length cfg.state_dim: the
     batch is flattened here on entry, the trace records the flat states,
@@ -189,20 +190,16 @@ def network_forward(x0, theta, cfg):
                             f"{shape}, got {x.shape}")
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
-        m = len(cfg.generators.axials)
-        layer_forward, recorded = manifold_layer_forward, ((m,), (3,))
+        layer_forward = manifold_layer_forward
     else:
         x = x.reshape(len(x), cfg.state_dim)
-        layer_forward, recorded = classical_layer_forward, ((cfg.state_dim,),)
-    states = np.empty((cfg.layers + 1,) + x.shape)
-    records = [np.empty((cfg.layers, x.shape[0]) + dims) for dims in recorded]
-    states[0] = x
+        layer_forward = classical_layer_forward
+    trace = ForwardTrace(cfg, params, [np.ascontiguousarray(x)], [])
     for n in range(cfg.layers):
-        x, values = layer_forward(x, params[n], cfg)
-        states[n + 1] = x
-        for record, value in zip(records, values):
-            record[n] = value
-    return x.reshape((len(x),) + shape), ForwardTrace(cfg, params, states, *records)
+        x, saved = layer_forward(x, params[n], cfg)
+        trace.states.append(x)
+        trace.saved.append(saved)
+    return x.reshape((len(x),) + shape), trace
 
 
 def layer_schema(cfg):

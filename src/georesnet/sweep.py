@@ -62,10 +62,7 @@ class SweepSpec:
             raise InvalidConfig("layer lists and seeds must be nonempty")
         if self.data_seed < 0:
             raise InvalidConfig("data_seed must be nonnegative")
-        if "seed" in self.train:
-            raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
-        if any(cfg.epochs < 1 for _, cfg in cell_order(self)):  # every cell, before any run
-            raise InvalidConfig("train.epochs must be at least 1: a cell reports its last epoch")
+        cell_order(self)  # every cell, before any run
 
 
 def spec_from_dict(doc):
@@ -102,13 +99,19 @@ class CellResult:
 
 def cell_order(spec):
     """The one place a spec becomes cells: each cell's (NetworkConfig, TrainConfig),
-    classical first, then geometric, by layer count, then by seed."""
+    classical first, then geometric, by layer count, then by seed.  Every call
+    checks spec.train again, since the dict of a frozen spec can still change."""
+    if "seed" in spec.train:
+        raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
     kind = data.ode_by_id(spec.experiment).kind
-    return [(network.NetworkConfig(model, kind, layers),
-             train.config_from_dict(spec.train, seed=seed))
-            for model, grid in ((network.CLASSICAL, spec.classical_layers),
-                                (network.MANIFOLD, spec.manifold_layers))
-            for layers in grid for seed in spec.seeds]
+    cells = [(network.NetworkConfig(model, kind, layers),
+              train.config_from_dict(spec.train, seed=seed))
+             for model, grid in ((network.CLASSICAL, spec.classical_layers),
+                                 (network.MANIFOLD, spec.manifold_layers))
+             for layers in grid for seed in spec.seeds]
+    if any(cfg.epochs < 1 for _, cfg in cells):
+        raise InvalidConfig("train.epochs must be at least 1: a cell reports its last epoch")
+    return cells
 
 
 def run_cell(datasets, net_cfg, cfg, out_dir=None):
@@ -137,10 +140,10 @@ def run_sweep(spec, out_dir=None, workers=1, datasets=None):
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be at least 1, got {workers}")
+    cells = cell_order(spec)  # checks every cell before any data is made
     if datasets is None:
         datasets = data.generate_dataset(spec.experiment, spec.p_train,
                                          spec.p_test, spec.data_seed)
-    cells = cell_order(spec)
     job = partial(run_cell, datasets, out_dir=out_dir)  # read per sweep, so a wrapped run_cell runs
     workers = min(workers, len(cells))  # a pool starts every worker at its first task
     if workers > 1:

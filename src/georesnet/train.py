@@ -64,6 +64,8 @@ class TrainConfig:
             raise InvalidConfig("seed must be nonnegative")
         object.__setattr__(self, "decay_epochs",
                            tuple(sorted(int(e) for e in self.decay_epochs)))
+        for name in ("epochs", "seed"):  # a numpy integer would not reach JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def config_from_dict(doc, **overrides):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import georesnet
 from georesnet import cli, data, network, sweep
@@ -238,11 +239,12 @@ def test_train_rejects_a_data_seed_beside_a_data_directory(tmp_path, capsys):
     data_dir = make_data_dir(tmp_path)
     capsys.readouterr()
     for seed in ("0", "5"):
-        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
-                         "--layers", "1", "--data", str(data_dir), "--data-seed", seed,
-                         "--out", str(tmp_path / "run")])
-        assert code == 2
-        assert "--data or --data-seed, not both" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                      "--layers", "1", "--data", str(data_dir), "--data-seed", seed,
+                      "--out", str(tmp_path / "run")])
+        assert exit_.value.code == 2
+        assert "argument --data-seed: not allowed with argument --data" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -274,9 +276,11 @@ def test_train_reports_a_malformed_dataset(tmp_path, capsys):
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_requires_an_experiment_or_spec(tmp_path, capsys):
-    code = cli.main(["sweep", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "needs --experiment" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "one of the arguments --experiment --config is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_an_experiment_beside_a_spec(tmp_path, capsys):
@@ -284,10 +288,11 @@ def test_sweep_rejects_an_experiment_beside_a_spec(tmp_path, capsys):
     spec = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
             "seeds": [0], "train": {"epochs": 2}, "p_train": 4, "p_test": 4}
     config = write_json(tmp_path / "spec.json", spec)
-    code = cli.main(["sweep", "--experiment", "exp2", "--config", config,
-                     "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "not both" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--experiment", "exp2", "--config", config,
+                  "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "argument --config: not allowed with argument --experiment" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -101,9 +101,8 @@ def test_mixed_batch_rotation_cotangent_equals_each_row_alone():
 def test_manifold_vjp_zero_upstream_gives_zero_gradients():
     cfg, theta, x, _ = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 4, 4)
     _, trace = network.network_forward(x, theta, cfg)
-    x_cot, g = grad.manifold_layer_vjp(
-        trace.states[0], trace.gates[0], trace.axials[0],
-        trace.params[0], cfg, np.zeros_like(x))
+    x_cot, g = grad.manifold_layer_vjp(trace.states[0], trace.saved[0], trace.params[0], cfg,
+                                       np.zeros_like(x))
     assert np.array_equal(x_cot, np.zeros_like(x))
     assert np.array_equal(g.gains, np.zeros(2))
     assert np.array_equal(g.weights, np.zeros((2, 3)))
@@ -121,8 +120,9 @@ def test_manifold_vjp_at_zero_gains():
         biases=rng.standard_normal(2))
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
     v = rng.standard_normal((1, 3))
-    out, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
-    x_cot, g = grad.manifold_layer_vjp(x, gate, omega, params, cfg, v)
+    out, saved = network.manifold_layer_forward(x, params, cfg)
+    gate = saved[0]
+    x_cot, g = grad.manifold_layer_vjp(x, saved, params, cfg, v)
     assert np.allclose(x_cot, v, atol=1e-15)
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
@@ -136,8 +136,7 @@ def test_manifold_vjp_is_linear_in_the_upstream():
     _, trace = network.network_forward(x, theta, cfg)
     rng = np.random.default_rng(7)
     v1, v2 = rng.standard_normal((2,) + x.shape)
-    args = (trace.states[0], trace.gates[0], trace.axials[0],
-            trace.params[0], cfg)
+    args = (trace.states[0], trace.saved[0], trace.params[0], cfg)
     x_a, g_a = grad.manifold_layer_vjp(*args, 2.0 * v1 + v2)
     x_1, g_1 = grad.manifold_layer_vjp(*args, v1)
     x_2, g_2 = grad.manifold_layer_vjp(*args, v2)
@@ -153,7 +152,8 @@ def test_classical_vjp_zero_output_weight_passes_upstream_through():
     v = rng.standard_normal((1, 3))
     x = rng.standard_normal((1, 3))
     gate = network.sigmoid(x @ params.w_in.T + params.bias)
-    x_cot, g = grad.classical_layer_vjp(x, gate, params, 0.5, v)
+    cfg = make_config(network.CLASSICAL, manifolds.SPHERE2, 2)  # dt = 0.5
+    x_cot, g = grad.classical_layer_vjp(x, (gate,), params, cfg, v)
     assert np.array_equal(x_cot, v)
     assert np.array_equal(g.w_in, np.zeros((3, 3)))
     assert np.array_equal(g.bias, np.zeros(3))
@@ -162,12 +162,14 @@ def test_classical_vjp_zero_output_weight_passes_upstream_through():
 def test_classical_vjp_scalar_case_matches_hand_chain_rule():
     # d = 1: layer is x + dt a sigma(w x + b); every derivative has a
     # one-line closed form
-    a, w, b, x, v, dt = 1.7, -0.6, 0.25, 0.9, 1.3, 0.5
+    a, w, b, x, v = 1.7, -0.6, 0.25, 0.9, 1.3
+    cfg = make_config(network.CLASSICAL, manifolds.SPHERE2, 2)  # only cfg.dt is read
+    dt = cfg.dt
     params = network.ClassicalLayerParams(
         w_out=np.array([[a]]), w_in=np.array([[w]]), bias=np.array([b]))
     z = w * x + b
     s = network.sigmoid(z)
-    x_cot, g = grad.classical_layer_vjp(np.array([[x]]), np.array([[s]]), params, dt,
+    x_cot, g = grad.classical_layer_vjp(np.array([[x]]), (np.array([[s]]),), params, cfg,
                                         np.array([[v]]))
     ds = s * (1.0 - s)
     assert np.isclose(g.w_out[0, 0], dt * s * v, rtol=1e-15)
@@ -211,9 +213,9 @@ def manifold_layer_at(space, z, rng):
     return x, weights, biases
 
 
-def assert_vjp_matches_central_differences(forward, cfg, params, x, vout, vjp):
-    """vjp = (input cotangent, parameter gradient) of <vout, layer output>,
-    against central differences over the layer's parameters and input."""
+def assert_vjp_matches_central_differences(forward, vjp, cfg, params, x, vout):
+    """A layer's vjp of <vout, layer output>, fed what its forward saved, against
+    central differences over the layer's parameters and input."""
     one_layer = dataclasses.replace(cfg, layers=1)  # cfg.dt stays the layer's
     theta = np.concatenate([network.flatten_params([params]), x.ravel()])
     n = theta.size - x.size
@@ -223,7 +225,8 @@ def assert_vjp_matches_central_differences(forward, cfg, params, x, vout, vjp):
         return float(np.sum(vout * forward(vec[n:].reshape(x.shape), layer, cfg)[0]))
 
     numeric = grad.central_difference(value, theta, grad.FINITE_DIFF_STEP)
-    exact = np.concatenate([network.flatten_params([vjp[1]]), vjp[0].ravel()])
+    x_cot, param_grad = vjp(x, forward(x, params, cfg)[1], params, cfg, vout)
+    exact = np.concatenate([network.flatten_params([param_grad]), x_cot.ravel()])
     assert np.max(np.abs(exact - numeric)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 
@@ -244,12 +247,11 @@ def test_manifold_vjp_matches_central_differences_at_saturated_gates_and_branch_
     gains = np.where(on, angle * axis / (np.linalg.norm(axis) * cfg.dt * network.sigmoid(z)),
                      rng.uniform(-1.0, 1.0, m))
     params = network.ManifoldLayerParams(gains, weights, biases)
-    _, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    _, (_, omega) = network.manifold_layer_forward(x, params, cfg)
     assert abs(axial_norm(omega)[0] - angle) <= 1e-12 * angle
-    vout = rng.standard_normal(x.shape)
-    assert_vjp_matches_central_differences(
-        network.manifold_layer_forward, cfg, params, x, vout,
-        grad.manifold_layer_vjp(x, gate, omega, params, cfg, vout))
+    assert_vjp_matches_central_differences(network.manifold_layer_forward,
+                                           grad.manifold_layer_vjp, cfg, params, x,
+                                           rng.standard_normal(x.shape))
 
 
 def assert_classical_vjp_matches_central_differences(space, layers, gates, seed):
@@ -260,11 +262,9 @@ def assert_classical_vjp_matches_central_differences(space, layers, gates, seed)
     w_out, w_in = rng.uniform(-1.0, 1.0, (2, d, d))
     z = preactivations(gates, d)[1]
     params = network.ClassicalLayerParams(w_out, w_in, z - x[0] @ w_in.T)
-    _, (gate,) = network.classical_layer_forward(x, params, cfg)
-    vout = rng.standard_normal(x.shape)
-    assert_vjp_matches_central_differences(
-        network.classical_layer_forward, cfg, params, x, vout,
-        grad.classical_layer_vjp(x, gate, params, cfg.dt, vout))
+    assert_vjp_matches_central_differences(network.classical_layer_forward,
+                                           grad.classical_layer_vjp, cfg, params, x,
+                                           rng.standard_normal(x.shape))
 
 
 @settings(max_examples=200)
@@ -285,11 +285,9 @@ def test_manifold_vjp_matches_central_differences_at_moderate_gates(space, layer
     z = preactivations(gates, len(cfg.generators.axials))[1]
     x, weights, biases = manifold_layer_at(space, z, rng)
     params = network.ManifoldLayerParams(rng.uniform(-1.0, 1.0, len(z)), weights, biases)
-    _, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
-    vout = rng.standard_normal(x.shape)
-    assert_vjp_matches_central_differences(
-        network.manifold_layer_forward, cfg, params, x, vout,
-        grad.manifold_layer_vjp(x, gate, omega, params, cfg, vout))
+    assert_vjp_matches_central_differences(network.manifold_layer_forward,
+                                           grad.manifold_layer_vjp, cfg, params, x,
+                                           rng.standard_normal(x.shape))
 
 
 @settings(max_examples=200)

@@ -71,6 +71,9 @@ def test_config_validation():
         network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, 0)
     with pytest.raises(InvalidConfig):
         network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, True)
+    # any integral layer count is stored as int, so a checkpoint can hold it
+    cfg = network.NetworkConfig(network.MANIFOLD, manifolds.SPHERE2, np.int64(2))
+    assert type(cfg.layers) is int and cfg == sphere_cfg(2)
 
 
 def test_dt_is_derived_from_layers():
@@ -126,17 +129,15 @@ def test_layer_rejects_non_finite_input():
                 network.network_forward(x, theta, cfg)
 
 
+VJPS = {network.MANIFOLD: grad.manifold_layer_vjp, network.CLASSICAL: grad.classical_layer_vjp}
+
+
 def input_cotangent(trace, upstream):
     """Cotangent of the network input: the layer VJPs chained over a trace."""
     cfg = trace.config
     for n in reversed(range(cfg.layers)):
-        if cfg.model == network.MANIFOLD:
-            upstream, _ = grad.manifold_layer_vjp(
-                trace.states[n], trace.gates[n], trace.axials[n],
-                trace.params[n], cfg, upstream)
-        else:
-            upstream, _ = grad.classical_layer_vjp(
-                trace.states[n], trace.gates[n], trace.params[n], cfg.dt, upstream)
+        upstream, _ = VJPS[cfg.model](trace.states[n], trace.saved[n], trace.params[n], cfg,
+                                      upstream)
     return upstream
 
 
@@ -155,16 +156,17 @@ def test_forward_of_a_concatenation_splits_into_the_separate_forwards():
             b = manifolds.sample_uniform(cfg.space, rng, p + 1)
             out, trace = network.network_forward(np.concatenate([a, b]), theta, cfg)
             # a cotangent per traced row: flat for the baseline
-            v = rng.standard_normal(trace.states.shape[1:])
+            v = rng.standard_normal(trace.states[0].shape)
             x_cot = input_cotangent(trace, v)
             for part, rows in ((a, slice(0, p)), (b, slice(p, None))):
                 alone, alone_trace = network.network_forward(part, theta, cfg)
                 assert np.array_equal(x_cot[rows], input_cotangent(alone_trace, v[rows]))
                 assert np.array_equal(out[rows], alone)
-                assert np.array_equal(trace.states[:, rows], alone_trace.states)
-                assert np.array_equal(trace.gates[:, rows], alone_trace.gates)
-                if cfg.model == network.MANIFOLD:
-                    assert np.array_equal(trace.axials[:, rows], alone_trace.axials)
+                for state, alone_state in zip(trace.states, alone_trace.states, strict=True):
+                    assert np.array_equal(state[rows], alone_state)
+                for saved, alone_saved in zip(trace.saved, alone_trace.saved, strict=True):
+                    for value, alone_value in zip(saved, alone_saved, strict=True):
+                        assert np.array_equal(value[rows], alone_value)
 
 
 def test_random_eight_layer_forward_stays_on_the_sphere():
@@ -267,7 +269,7 @@ def test_forward_maps_an_empty_batch_to_an_empty_batch():
             x = np.empty((0,) + manifolds.point_shape(cfg.space))
             out, trace = network.network_forward(x, network.init_params(cfg, rng), cfg)
             assert out.shape == x.shape
-            assert trace.states.shape[:2] == (3, 0)
+            assert [len(state) for state in trace.states] == [0] * 3
 
 
 def test_zero_gain_network_is_the_identity():
@@ -304,12 +306,16 @@ def test_forward_trace_replays_bitwise():
     theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SO3, rng, 5)
     out, trace = network.network_forward(x, theta, cfg)
-    assert trace.states.shape[0] == cfg.layers + 1
+    assert len(trace.states) == cfg.layers + 1 and len(trace.saved) == cfg.layers
     assert np.array_equal(trace.states[-1], out)
     assert np.array_equal(network.flatten_params(trace.params), theta)
     for n in range(cfg.layers):
-        step, _ = network.manifold_layer_forward(trace.states[n], trace.params[n], cfg)
+        step, saved = network.manifold_layer_forward(trace.states[n], trace.params[n], cfg)
         assert np.array_equal(step, trace.states[n + 1])
+        assert all(np.array_equal(a, b) for a, b in zip(saved, trace.saved[n], strict=True))
+    # a strided input is kept as one C-contiguous array, as the VJPs' fast paths want
+    first = network.network_forward(np.asfortranarray(x), theta, cfg)[1].states[0]
+    assert first.flags.c_contiguous and np.array_equal(first, x)
 
 
 def test_forward_is_deterministic():

@@ -109,6 +109,22 @@ def test_spec_checks_its_train_overrides():
             tiny_spec(train=bad)
 
 
+def test_run_sweep_rechecks_a_train_dict_changed_after_the_spec_was_made(tmp_path,
+                                                                          monkeypatch):
+    # the spec is frozen but its train dict is not: run_sweep derives the
+    # cells again, and that derivation checks them before any dataset is made
+    generated = []
+    monkeypatch.setattr(data, "generate_dataset", lambda *args: generated.append(args))
+    for key, value in (("epochs", 0), ("seed", 7)):
+        spec = tiny_spec()
+        spec.train[key] = value
+        out = tmp_path / key
+        with pytest.raises(InvalidConfig, match="epochs" if key == "epochs" else "seeds"):
+            sweep.run_sweep(spec, out_dir=out)
+        assert not (out / "cells").exists()
+    assert generated == []
+
+
 def test_spec_dict_round_trip(tmp_path):
     spec = tiny_spec()
     assert sweep.spec_from_dict(dataclasses.asdict(spec)) == spec

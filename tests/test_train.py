@@ -161,6 +161,20 @@ def test_zero_epochs_returns_the_initialization():
     assert np.array_equal(metrics.final_params, expected)
 
 
+def test_run_with_numpy_integer_configs_writes_a_readable_checkpoint(tmp_path):
+    # numpy integers pass validation and are stored as int, so the
+    # checkpoint's meta and the layer count serialize
+    train_ds, test_ds = small_datasets()
+    net_cfg = sphere_config(np.int64(2))
+    cfg = train.TrainConfig(epochs=np.int64(2), seed=np.int64(1))
+    assert type(cfg.epochs) is int and type(cfg.seed) is int
+    metrics, status, _ = train.run(train_ds, test_ds, net_cfg, cfg, tmp_path / "run")
+    assert status == "ok" and len(metrics) == 2
+    loaded, theta, meta = network.load_checkpoint(tmp_path / "run" / "checkpoint.json")
+    assert loaded == sphere_config(2) and meta == {"seed": 1, "status": "ok"}
+    assert np.array_equal(theta, metrics.final_params)
+
+
 def test_train_loop_rejects_a_manifold_mismatch():
     train_ds, test_ds = small_datasets()
     so3_cfg = network.NetworkConfig(network.MANIFOLD, manifolds.SO3, 2)
@@ -270,14 +284,14 @@ def test_classical_model_trains_through_the_same_loop():
 
 def spy_on_forward(monkeypatch):
     """Wrap network.network_forward; the returned list gets, per call, the
-    number of earlier traces whose states are still alive as it starts."""
+    number of earlier traces still alive as it starts."""
     real = network.network_forward
-    states, alive = [], []
+    traces, alive = [], []
 
     def forward(*args):
-        alive.append(sum(ref() is not None for ref in states))
+        alive.append(sum(ref() is not None for ref in traces))
         out, trace = real(*args)
-        states.append(weakref.ref(trace.states))
+        traces.append(weakref.ref(trace))
         return out, trace
 
     monkeypatch.setattr(network, "network_forward", forward)
