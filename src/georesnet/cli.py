@@ -75,7 +75,7 @@ def cmd_train(args):
     overrides = {"seed": args.seed} if args.seed is not None else {}
     cfg = train.config_from_dict(_load_config(args.config), **overrides)
     train_ds, test_ds, data_meta = _load_datasets(args, ode.id)
-    metrics, status, mean_defect = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
+    metrics, status, mean_defect, test_mse = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
     if status == "diverged":
         print(f"diverged: non-finite loss at epoch {len(metrics)}", file=sys.stderr)
     write_json(os.path.join(args.out, "meta.json"), {
@@ -89,7 +89,7 @@ def cmd_train(args):
     if len(metrics):
         print(f"{args.model} {ode.id} M={args.layers}: "
               f"train {metrics.train_loss[-1]:.6g} test {metrics.test_loss[-1]:.6g} "
-              f"defect {metrics.max_defect[-1]:.3e} [{status}]")
+              f"(checkpoint {test_mse:.6g}) defect {metrics.max_defect[-1]:.3e} [{status}]")
     else:
         print(f"{args.model} {ode.id} M={args.layers}: no epochs recorded [{status}]")
     return 3 if status == "diverged" else 0

@@ -80,7 +80,7 @@ def ground_truth_flow(x0, ode, steps=DEFAULT_STEPS):
     """
     if steps < 1:
         raise InvalidConfig("steps must be at least 1")
-    x = np.asarray(x0, dtype=float)
+    x = np.ascontiguousarray(x0, dtype=float)  # a step rounds as for C-ordered states
     manifolds.check_on_manifold(ode.kind, x, "initial")
     h = 1.0 / steps
     sphere = ode.kind == manifolds.SPHERE2

@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and its file I/O: the JSON
-reader and the array check that turn a malformed input file into one of
-them, and the atomic JSON and CSV writers of every output file."""
+"""Exception types shared across the package, the typing rule of its config
+dataclasses, and its file I/O: the JSON reader and the array check that turn
+a malformed input file into one of them, and the atomic JSON and CSV writers."""
 
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
+import numbers
 import os
 
 import numpy as np
@@ -172,6 +174,30 @@ def _write_array(fh, array, level):
 def is_a(kind, value):
     """isinstance for a numbers ABC, with bool (an int subclass) excluded."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _plain(kind, value):
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return tuple(_plain(int, v) for v in value)
+    if kind is dict and (value is None or isinstance(value, dict)):
+        return dict(value or {})
+    if kind in (int, float) and is_a(numbers.Integral if kind is int else numbers.Real, value):
+        return kind(value)
+    raise TypeError
+
+
+def check_fields(obj, what):
+    """Store each field of dataclass obj as the plain JSON type its annotation names:
+    int or float from a non-bool number, a tuple of ints from a list or tuple, dict
+    from a dict or None, str as given.  InvalidConfig names every field that fails."""
+    wrong = []
+    for field in [f for f in dataclasses.fields(obj) if f.type is not str]:
+        try:
+            object.__setattr__(obj, field.name, _plain(field.type, getattr(obj, field.name)))
+        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
+            wrong.append(field.name)
+    if wrong:
+        raise InvalidConfig(f"wrongly typed {what} values: {wrong}")
 
 
 class DivergenceDetected(GeoResNetError):

@@ -22,14 +22,14 @@ only network_forward and save_checkpoint cut it up (unflatten_params).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import lie, manifolds
-from .errors import InvalidConfig, check_keys, is_a, numeric_array, read_json_object, write_json
+from .errors import (InvalidConfig, check_fields, check_keys, numeric_array, read_json_object,
+                     write_json)
 from .linalg import expm_skew3
 
 MANIFOLD = "manifold"
@@ -44,12 +44,12 @@ class NetworkConfig:
     layers: int
 
     def __post_init__(self):
+        check_fields(self, "network config")
         if self.model not in MODELS:
             raise InvalidConfig(f"unknown model {self.model!r}; expected one of {MODELS}")
         manifolds.check_kind(self.space)
-        if not is_a(numbers.Integral, self.layers) or self.layers < 1:
+        if self.layers < 1:
             raise InvalidConfig(f"layers must be a positive integer, got {self.layers!r}")
-        object.__setattr__(self, "layers", int(self.layers))
 
     @property
     def dt(self):
@@ -94,7 +94,7 @@ class ForwardTrace:
     params holds the per-layer views of the pass's theta; states the input
     (C-contiguous) and the M arrays the layers returned, flat rows for the
     baseline; saved[n] the tuple layer n returned beside its output, which
-    its VJP takes back.  For a C-contiguous input, replaying states[n]
+    its VJP takes back.  Layer 0 runs on states[0], so replaying states[n]
     through layer n reproduces states[n + 1] and saved[n] bitwise.
     """
 
@@ -194,7 +194,8 @@ def network_forward(x0, theta, cfg):
     else:
         x = x.reshape(len(x), cfg.state_dim)
         layer_forward = classical_layer_forward
-    trace = ForwardTrace(cfg, params, [np.ascontiguousarray(x)], [])
+    x = np.ascontiguousarray(x)  # the layers round a row as in a C-ordered batch
+    trace = ForwardTrace(cfg, params, [x], [])
     for n in range(cfg.layers):
         x, saved = layer_forward(x, params[n], cfg)
         trace.states.append(x)

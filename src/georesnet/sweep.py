@@ -8,7 +8,6 @@ Cells are independent; a diverged cell is recorded with status
 "diverged" and skipped by the aggregation instead of aborting the sweep.
 """
 
-import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass
 from functools import partial
@@ -16,8 +15,8 @@ from functools import partial
 import numpy as np
 
 from . import data, network, train
-from .errors import (InvalidConfig, check_keys, is_a, read_json_object, replacing, write_csv,
-                     write_json)
+from .errors import (InvalidConfig, check_fields, check_keys, read_json_object, replacing,
+                     write_csv, write_json)
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_DATA_SEED = 2024
@@ -30,7 +29,8 @@ RESULT_COLUMNS = ("model", "layers", "param_count", "seed", "final_train_loss",
 class SweepSpec:
     """One experiment's grid: layer counts per model family, seeds, shared
     train overrides and dataset sizes.  Making a spec builds every cell's
-    configs through cell_order, so a bad cell fails before any run."""
+    configs through cell_order, so a bad cell fails before any run.  A
+    repeated layer count or seed would train two cells in one directory."""
 
     experiment: str
     manifold_layers: tuple
@@ -42,24 +42,11 @@ class SweepSpec:
     data_seed: int = DEFAULT_DATA_SEED
 
     def __post_init__(self):
-        data.ode_by_id(self.experiment)  # validates the id
-        wrong = [name for name in ("manifold_layers", "classical_layers", "seeds")
-                 if not (isinstance(getattr(self, name), (list, tuple))
-                         and all(is_a(numbers.Integral, v) for v in getattr(self, name)))]
-        wrong += [name for name in ("p_train", "p_test", "data_seed")
-                  if not is_a(numbers.Integral, getattr(self, name))]
-        if not (self.train is None or isinstance(self.train, dict)):
-            wrong.append("train")
-        if wrong:
-            raise InvalidConfig(f"wrongly typed sweep spec values: {wrong}")
+        check_fields(self, "sweep spec")
+        object.__setattr__(self, "experiment", data.ode_by_id(self.experiment).id)
         for name in ("manifold_layers", "classical_layers", "seeds"):
-            values = tuple(int(v) for v in getattr(self, name))
-            if len(set(values)) < len(values):  # two cells would share one directory
-                raise InvalidConfig(f"{name} repeats an entry: {list(values)}")
-            object.__setattr__(self, name, values)
-        object.__setattr__(self, "train", dict(self.train or {}))
-        if not (self.manifold_layers and self.classical_layers and self.seeds):
-            raise InvalidConfig("layer lists and seeds must be nonempty")
+            if not (values := getattr(self, name)) or len(set(values)) < len(values):
+                raise InvalidConfig(f"{name} must be nonempty and repeat no entry: {list(values)}")
         if self.data_seed < 0:
             raise InvalidConfig("data_seed must be nonnegative")
         cell_order(self)  # every cell, before any run
@@ -120,7 +107,7 @@ def run_cell(datasets, net_cfg, cfg, out_dir=None):
     out_dir/cells/<model>-m<layers>-s<seed>/ (see train.run)."""
     cell_dir = None if out_dir is None else os.path.join(
         out_dir, "cells", f"{net_cfg.model}-m{net_cfg.layers}-s{cfg.seed}")
-    metrics, status, mean_defect = train.run(*datasets, net_cfg, cfg, cell_dir)
+    metrics, status, mean_defect, _ = train.run(*datasets, net_cfg, cfg, cell_dir)
     finished = status == "ok" and len(metrics)
     return CellResult(
         net_cfg.model, net_cfg.layers, network.param_count(net_cfg), cfg.seed,

@@ -15,7 +15,6 @@ status "diverged".
 """
 
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, check_keys, is_a, write_csv
+from .errors import DivergenceDetected, InvalidConfig, check_fields, check_keys, write_csv
 
 QUICK_EPOCHS = 2000
 
@@ -41,15 +40,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        wrong = [name for name in ("lr0", "momentum", "decay_factor", "lam")
-                 if not is_a(numbers.Real, getattr(self, name))]
-        wrong += [name for name in ("epochs", "seed")
-                  if not is_a(numbers.Integral, getattr(self, name))]
-        if not (isinstance(self.decay_epochs, (list, tuple))
-                and all(is_a(numbers.Integral, e) for e in self.decay_epochs)):
-            wrong.append("decay_epochs")
-        if wrong:
-            raise InvalidConfig(f"wrongly typed config values: {wrong}")
+        check_fields(self, "config")
         if not 0.0 < self.lr0 < math.inf:
             raise InvalidConfig("lr0 must be finite and positive")
         if not 0.0 < self.decay_factor < 1.0:
@@ -62,10 +53,7 @@ class TrainConfig:
             raise InvalidConfig("lam must be finite and nonnegative")
         if self.seed < 0:
             raise InvalidConfig("seed must be nonnegative")
-        object.__setattr__(self, "decay_epochs",
-                           tuple(sorted(int(e) for e in self.decay_epochs)))
-        for name in ("epochs", "seed"):  # a numpy integer would not reach JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "decay_epochs", tuple(sorted(self.decay_epochs)))
 
 
 def config_from_dict(doc, **overrides):
@@ -175,15 +163,15 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
 
 
 def run(train_ds, test_ds, net_cfg, cfg, out_dir=None):
-    """Train one net and record the run: (metrics, status, mean test defect).
+    """Train one net and record the run: (metrics, status, mean test defect, test MSE).
 
     status is "ok", or "diverged" when a loss stopped being finite; then
-    metrics holds the epochs recorded before it.  The mean defect is that
-    of the final net's outputs on the test inputs.  After a divergence the
-    parameters are so large that overflow en route is expected, and a
-    state that overflowed to NaN makes the mean NaN.  With out_dir, the
-    run writes metrics.csv and checkpoint.json there, the checkpoint's
-    meta holding the training seed and the status.
+    metrics holds the epochs recorded before it.  The mean defect and MSE
+    are the checkpoint's, on the test inputs: one step past the last row.
+    After a divergence the parameters are so large that overflow en route
+    is expected, and a state that overflowed to NaN makes both NaN.  With
+    out_dir, the run writes metrics.csv and checkpoint.json there, the
+    checkpoint's meta holding the training seed and the status.
     """
     try:
         metrics, status = train_loop(train_ds, test_ds, net_cfg, cfg), "ok"
@@ -196,4 +184,5 @@ def run(train_ds, test_ds, net_cfg, cfg, out_dir=None):
                                 metrics.final_params, meta={"seed": cfg.seed, "status": status})
     with np.errstate(over="ignore", invalid="ignore"):
         out = network.network_forward(test_ds.inputs, metrics.final_params, net_cfg)[0]
-        return metrics, status, float(np.mean(prediction_defects(out, net_cfg.space)))
+        return (metrics, status, float(np.mean(prediction_defects(out, net_cfg.space))),
+                grad.objective(out, test_ds.targets)[0])

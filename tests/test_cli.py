@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import georesnet
-from georesnet import cli, data, network, sweep
+from georesnet import cli, data, grad, network, sweep
 
 
 def write_json(path, doc):
@@ -145,6 +145,24 @@ def test_train_writes_metrics_checkpoint_meta(tmp_path, capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
+def test_train_prints_the_checkpoint_test_mse_beside_the_last_row(tmp_path, capsys):
+    # the last metrics row reads its test loss before that epoch's step; the
+    # checkpoint holds the parameters after it
+    data_dir = make_data_dir(tmp_path)
+    config = write_json(tmp_path / "train.json", {"epochs": 3})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--model", "classical", "--experiment", "exp1", "--layers", "2",
+                     "--data", str(data_dir), "--config", config, "--out", str(out)]) == 0
+    cfg, theta, _ = network.load_checkpoint(out / "checkpoint.json")
+    test = data.load_dataset(data_dir / "test.json")
+    mse = grad.objective(network.network_forward(test.inputs, theta, cfg)[0], test.targets)[0]
+    with open(out / "metrics.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (f"test {float(last['test_loss']):.6g} (checkpoint {mse:.6g}) defect"
+            in capsys.readouterr().out)
+
+
 def test_train_runs_are_bitwise_reproducible(tmp_path):
     data_dir = make_data_dir(tmp_path)
     config = write_json(tmp_path / "train.json", {"epochs": 4})
@@ -224,6 +242,23 @@ def test_train_rejects_a_non_finite_step_size_or_penalty(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{next(iter(bad))} must be finite" in err
+
+
+def test_train_rejects_a_step_size_or_penalty_no_float_can_hold(tmp_path, capsys):
+    # json reads a 401-digit integer exactly, and it compares below inf; it
+    # would overflow in the first step size or penalty product
+    data_dir = make_data_dir(tmp_path)
+    capsys.readouterr()
+    for key in ("lr0", "lam"):
+        config = write_json(tmp_path / f"{key}.json", {key: 10 ** 400})
+        out = tmp_path / f"run-{key}"
+        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                         "--layers", "1", "--data", str(data_dir),
+                         "--config", config, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: wrongly typed config values") and key in err
+        assert not out.exists()
 
 
 def test_train_rejects_a_negative_seed(tmp_path, capsys):

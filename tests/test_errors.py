@@ -1,6 +1,9 @@
-"""The JSON and CSV writers: json.dump's bytes and repr's floats, written atomically."""
+"""The JSON and CSV writers: json.dump's bytes and repr's floats, written atomically;
+and check_fields, the one typing rule of every config dataclass."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from georesnet import errors
-from georesnet.errors import replacing, write_csv, write_json
+from georesnet.errors import InvalidConfig, check_fields, replacing, write_csv, write_json
 
 # every float64 is drawn: NaN, both infinities, -0.0 and subnormals included
 ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
@@ -100,3 +103,38 @@ def test_write_csv_spells_floats_by_repr_and_other_values_as_csv_does(tmp_path):
     write_csv(path, list("abcdefghij"), [row])
     assert path.read_bytes() == (b"a,b,c,d,e,f,g,h,i,j\r\n"
                                  b'0.1,1e-05,5e-324,-0.0,nan,inf,0.3333333333333333,7,3,"a,b"\r\n')
+
+
+@dataclasses.dataclass
+class Fields:
+    count: int = 0
+    rate: float = 0.0
+    steps: tuple = ()
+    extra: dict = None
+    name: str = ""
+
+
+def test_check_fields_stores_each_annotation_as_its_plain_json_type():
+    for rate in (np.float32(0.25), Fraction(1, 4), 0.25):
+        fields = Fields(np.int64(3), rate, [np.int64(2), 1], None, "as given")
+        check_fields(fields, "demo")
+        assert dataclasses.astuple(fields) == (3, 0.25, (2, 1), {}, "as given")
+        assert [type(value) for value in dataclasses.astuple(fields)] == [
+            int, float, tuple, dict, str]
+        assert [type(step) for step in fields.steps] == [int, int]
+    fields = Fields(rate=1)  # an integer given for a float field is stored as a float
+    check_fields(fields, "demo")
+    assert type(fields.rate) is float and fields.rate == 1.0
+    extra = {"epochs": 3}
+    fields = Fields(extra=extra)
+    check_fields(fields, "demo")
+    assert fields.extra == extra and fields.extra is not extra
+    with pytest.raises(InvalidConfig, match=r"wrongly typed demo values: \['count', 'rate', "
+                                            r"'steps', 'extra'\]"):
+        check_fields(Fields(True, False, (1, True), []), "demo")
+    # json reads a 401-digit integer exactly; no float holds it
+    for bad in ({"rate": 10 ** 400}, {"rate": "1"}, {"steps": "12"}, {"steps": (1.0,)},
+                {"count": 2.0}, {"extra": 5}):
+        with pytest.raises(InvalidConfig, match=f"\\['{next(iter(bad))}'\\]"):
+            check_fields(Fields(**bad), "demo")
+    check_fields(Fields(count=10 ** 400), "demo")  # an int field holds any integer

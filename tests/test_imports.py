@@ -1,11 +1,14 @@
-"""No module imports a name it never uses, and no private helper is dead.
+"""No module imports a name it never uses, no private helper is dead, and no
+config class types its own fields.
 
 No linter ships with the project, so these are the lint rules the suite
 keeps: every module-level import in src/georesnet/*.py, tests/*.py and
 demos/*.py must be referenced somewhere in its own file, and every private
 module-level function, class and constant of src/georesnet/*.py must be
 read somewhere in the package.  The package's __init__ is left out of the
-import rule, since its imports are re-exports.
+import rule, since its imports are re-exports.  Every *Config and *Spec
+dataclass of the package calls errors.check_fields in its __post_init__,
+so its fields are typed by their annotations, by one rule.
 """
 
 import ast
@@ -66,3 +69,42 @@ def test_unread_private_names_finds_dead_helpers_and_nothing_else():
 
 def test_every_private_module_level_name_is_read_in_the_package():
     assert unread_private_names([path.read_text() for path in PACKAGE]) == []
+
+
+def referenced_name(node):
+    """The name a decorator or call refers to: f, f(...), m.f and m.f(...) give f."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def config_dataclasses(source):
+    """{name: whether its __post_init__ calls check_fields} for the dataclasses
+    of source named *Config or *Spec."""
+    return {node.name: any(isinstance(call, ast.Call) and referenced_name(call) == "check_fields"
+                           for item in node.body if isinstance(item, ast.FunctionDef)
+                           and item.name == "__post_init__" for call in ast.walk(item))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Spec"))
+            and any(referenced_name(d) == "dataclass" for d in node.decorator_list)}
+
+
+def test_config_dataclasses_finds_hand_typed_configs_and_nothing_else():
+    source = ("@dataclass(frozen=True)\nclass GoodConfig:\n    a: int\n\n"
+              "    def __post_init__(self):\n        check_fields(self, 'good')\n\n\n"
+              "@dataclasses.dataclass\nclass AlsoGoodSpec:\n    a: int\n\n"
+              "    def __post_init__(self):\n        errors.check_fields(self, 'also')\n\n\n"
+              "@dataclass\nclass HandTypedSpec:\n    a: int\n\n"
+              "    def __post_init__(self):\n        self.a = int(self.a)\n\n\n"
+              "@dataclass\nclass UncheckedConfig:\n    a: int\n\n    def check_fields(self):\n"
+              "        pass\n\n\nclass PlainConfig:\n    pass\n\n\n"
+              "@dataclass\nclass Metrics:\n    a: int\n")
+    assert config_dataclasses(source) == {"GoodConfig": True, "AlsoGoodSpec": True,
+                                          "HandTypedSpec": False, "UncheckedConfig": False}
+
+
+def test_every_config_dataclass_types_its_fields_through_check_fields():
+    found = {}
+    for path in PACKAGE:
+        found.update(config_dataclasses(path.read_text()))
+    assert {"NetworkConfig", "TrainConfig", "SweepSpec"} <= set(found)
+    assert [name for name, checked in found.items() if not checked] == []

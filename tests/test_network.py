@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from georesnet import grad, manifolds, network
+from georesnet import data, grad, manifolds, network
 from georesnet.errors import InvalidConfig, OffManifold
 from georesnet.linalg import expm_skew3
 
@@ -316,6 +316,24 @@ def test_forward_trace_replays_bitwise():
     # a strided input is kept as one C-contiguous array, as the VJPs' fast paths want
     first = network.network_forward(np.asfortranarray(x), theta, cfg)[1].states[0]
     assert first.flags.c_contiguous and np.array_equal(first, x)
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+def test_results_do_not_depend_on_the_memory_layout_of_the_inputs(experiment):
+    # the same states as a Fortran-ordered batch give the C-ordered flow, and
+    # both models' loss, gradient and outputs, bit for bit
+    ode = data.ode_by_id(experiment)
+    rng = np.random.default_rng(29)
+    x = manifolds.sample_uniform(ode.kind, rng, 40)
+    y = data.ground_truth_flow(x, ode, steps=64)
+    assert np.array_equal(data.ground_truth_flow(np.asfortranarray(x), ode, steps=64), y)
+    for model in network.MODELS:
+        cfg = network.NetworkConfig(model, ode.kind, 3)
+        theta = network.init_params(cfg, rng)
+        expected = grad.network_gradient(x, y, theta, cfg, 1e-3)
+        loss, g, out = grad.network_gradient(np.asfortranarray(x), y, theta, cfg, 1e-3)
+        assert loss == expected[0]
+        assert np.array_equal(g, expected[1]) and np.array_equal(out, expected[2])
 
 
 def test_forward_is_deterministic():

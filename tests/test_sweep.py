@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -95,6 +96,24 @@ def test_spec_rejects_wrongly_typed_values():
                        ("p_train", True)):
         with pytest.raises(InvalidConfig, match=field):
             tiny_spec(**{field: bad})
+
+
+def test_spec_stores_numpy_integers_as_ints_json_can_write(tmp_path):
+    # cmd_sweep writes spec.json after every cell has trained
+    spec = tiny_spec(p_train=np.int64(4), p_test=np.int32(4), data_seed=np.uint8(7),
+                     seeds=tuple(np.arange(2)), manifold_layers=[np.int64(1)])
+    assert spec == tiny_spec()
+    assert all(type(value) is int for value in (spec.p_train, spec.p_test, spec.data_seed,
+                                                *spec.seeds, *spec.manifold_layers))
+    sweep.save_spec(spec, tmp_path / "spec.json")
+    assert sweep.load_spec(tmp_path / "spec.json") == spec
+
+
+def test_spec_records_the_experiment_id_in_any_case(tmp_path):
+    spec = tiny_spec(experiment="EXP1")
+    assert spec.experiment == "exp1" and spec == tiny_spec()
+    sweep.save_spec(spec, tmp_path / "spec.json")
+    assert json.loads((tmp_path / "spec.json").read_text())["experiment"] == "exp1"
 
 
 def test_spec_checks_its_train_overrides():

@@ -2,14 +2,16 @@
 
 import csv
 import dataclasses
+import json
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from georesnet import data, grad, manifolds, network, train
-from georesnet.errors import DivergenceDetected, InvalidConfig, OffManifold
+from georesnet.errors import DivergenceDetected, InvalidConfig, OffManifold, write_json
 
 
 def sphere_config(layers, model=network.MANIFOLD):
@@ -138,6 +140,17 @@ def test_config_rejects_wrongly_typed_values():
     assert train.config_from_dict({"lr0": 1, "epochs": np.int64(3)}).epochs == 3
 
 
+def test_config_stores_real_values_as_floats_json_can_write(tmp_path):
+    # cli train echoes asdict(cfg) into meta.json; numpy and fractions
+    # values are stored as the floats they hold
+    for lam in (np.float32(1e-3), Fraction(1, 1000)):
+        cfg = train.TrainConfig(lam=lam, lr0=np.float64(2), momentum=0)
+        assert (type(cfg.lam), type(cfg.lr0), type(cfg.momentum)) == (float, float, float)
+        assert cfg.lam == float(lam)
+        write_json(tmp_path / "meta.json", dataclasses.asdict(cfg))
+        assert train.config_from_dict(json.loads((tmp_path / "meta.json").read_text())) == cfg
+
+
 def test_config_from_dict_round_trips_and_rejects_unknowns():
     cfg = train.TrainConfig(lr0=2.0, epochs=17)
     assert train.config_from_dict(dataclasses.asdict(cfg)) == cfg
@@ -168,11 +181,22 @@ def test_run_with_numpy_integer_configs_writes_a_readable_checkpoint(tmp_path):
     net_cfg = sphere_config(np.int64(2))
     cfg = train.TrainConfig(epochs=np.int64(2), seed=np.int64(1))
     assert type(cfg.epochs) is int and type(cfg.seed) is int
-    metrics, status, _ = train.run(train_ds, test_ds, net_cfg, cfg, tmp_path / "run")
+    metrics, status, _, _ = train.run(train_ds, test_ds, net_cfg, cfg, tmp_path / "run")
     assert status == "ok" and len(metrics) == 2
     loaded, theta, meta = network.load_checkpoint(tmp_path / "run" / "checkpoint.json")
     assert loaded == sphere_config(2) and meta == {"seed": 1, "status": "ok"}
     assert np.array_equal(theta, metrics.final_params)
+
+
+def test_run_returns_the_test_mse_of_its_checkpoint():
+    # the checkpoint's test MSE is the test loss the next epoch would record
+    train_ds, test_ds = small_datasets()
+    for model in network.MODELS:
+        net_cfg = sphere_config(2, model)
+        metrics, status, _, test_mse = train.run(train_ds, test_ds, net_cfg,
+                                                 train.TrainConfig(epochs=3, seed=4))
+        longer = train.run(train_ds, test_ds, net_cfg, train.TrainConfig(epochs=4, seed=4))[0]
+        assert status == "ok" and test_mse == longer.test_loss[3] != metrics.test_loss[2]
 
 
 def test_train_loop_rejects_a_manifold_mismatch():
