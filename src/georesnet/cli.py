@@ -11,48 +11,51 @@ training divergence (partial metrics are still written).
 
 import argparse
 import dataclasses
-import numbers
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import data, grad, lie, linalg, manifolds, network, sweep, train
-from .errors import GeoResNetError, InvalidConfig, check_keys, is_a, read_json_object, write_json
+from .errors import (GeoResNetError, InvalidConfig, check_fields, from_dict, read_json_object,
+                     write_json)
 
 
-def _load_config(path):
-    return {} if path is None else read_json_object(path)
+@dataclasses.dataclass(frozen=True)
+class GenDataConfig:
+    p_train: int = data.DEFAULT_PAIRS
+    p_test: int = data.DEFAULT_PAIRS
+    steps: int = data.DEFAULT_STEPS
+    csv: bool = False
+
+    def __post_init__(self):
+        check_fields(self, "gen-data config")
+
+
+def _read_config(path, cls, what):
+    """cls from the --config file at path, or cls() when none is given."""
+    return cls() if path is None else read_json_object(path, partial(from_dict, cls, what=what))
 
 
 def cmd_gen_data(args):
-    """Generate benchmark datasets.  Config keys: integers p_train, p_test, steps; bool csv.
-
-    A given --train-size, --test-size or --csv wins over its config key.
-    """
-    cfg = _load_config(args.config)
-    check_keys(cfg, "gen-data config", known=("p_train", "p_test", "steps", "csv"))
-    wrong = [key for key, value in cfg.items()
-             if not (isinstance(value, bool) if key == "csv" else is_a(numbers.Integral, value))]
-    if wrong:
-        raise InvalidConfig(f"wrongly typed gen-data config values: {wrong}")
+    """Generate benchmark datasets.  Config keys: any GenDataConfig field; a given
+    --train-size, --test-size or --csv wins over its key."""
     flags = {"p_train": args.train_size, "p_test": args.test_size, "csv": args.csv}
-    cfg = {"p_train": data.DEFAULT_PAIRS, "p_test": data.DEFAULT_PAIRS,
-           "steps": data.DEFAULT_STEPS, "csv": False, **cfg,
-           **{key: flag for key, flag in flags.items() if flag is not None}}
+    cfg = dataclasses.replace(_read_config(args.config, GenDataConfig, "gen-data config"),
+                              **{key: flag for key, flag in flags.items() if flag is not None})
     train_ds, test_ds = data.generate_dataset(
-        args.experiment, cfg["p_train"], cfg["p_test"], args.seed, steps=cfg["steps"])
+        args.experiment, cfg.p_train, cfg.p_test, args.seed, steps=cfg.steps)
     os.makedirs(args.out, exist_ok=True)
     for role, ds in (("train", train_ds), ("test", test_ds)):
         data.save_dataset(ds, os.path.join(args.out, f"{role}.json"))
-        if cfg["csv"]:
+        if cfg.csv:
             data.save_dataset_csv(ds, os.path.join(args.out, f"{role}.csv"))
         print(f"{role}: {len(ds)} pairs on {ds.kind}, max defect {ds.max_defect():.3e}")
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "gen-data", "experiment": data.ode_by_id(args.experiment).id,
-        "seed": args.seed, "p_train": cfg["p_train"], "p_test": cfg["p_test"],
-        "steps": cfg["steps"],
+        "seed": args.seed, "p_train": cfg.p_train, "p_test": cfg.p_test, "steps": cfg.steps,
     }, sort_keys=True)
     return 0
 
@@ -72,8 +75,9 @@ def cmd_train(args):
     """Train one model.  Config keys: any TrainConfig field."""
     ode = data.ode_by_id(args.experiment)
     net_cfg = network.NetworkConfig(args.model, ode.kind, args.layers)
-    overrides = {"seed": args.seed} if args.seed is not None else {}
-    cfg = train.config_from_dict(_load_config(args.config), **overrides)
+    cfg = _read_config(args.config, train.TrainConfig, "config")
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     train_ds, test_ds, data_meta = _load_datasets(args, ode.id)
     metrics, status, mean_defect, test_mse = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
     if status == "diverged":

@@ -158,20 +158,21 @@ def save_dataset(ds, path):
 def load_dataset(path):
     """Read a dataset written by save_dataset.
 
-    Raises InvalidConfig unless the file holds kind, metadata, inputs and
-    targets, with as many targets as inputs, each of the kind's point shape
-    and finite, and OffManifold if a point is off the manifold.
+    Raises InvalidConfig naming the file unless it holds kind, metadata, inputs
+    and targets, as many targets as inputs, each of the kind's point shape and
+    finite, and OffManifold naming it if a point is off the manifold.
     """
-    doc = read_json_object(path)
-    check_keys(doc, f"dataset {path}", required=("kind", "metadata", "inputs", "targets"))
+    return read_json_object(path, _dataset)
+
+
+def _dataset(doc):
+    check_keys(doc, "dataset", required=("kind", "metadata", "inputs", "targets"))
     kind = manifolds.check_kind(doc["kind"])
     shape = (None,) + manifolds.point_shape(kind)
-    inputs, targets = (numeric_array(doc[name], f"dataset {path}: {name}", shape)
-                       for name in ("inputs", "targets"))
+    inputs, targets = (numeric_array(doc[name], name, shape) for name in ("inputs", "targets"))
     if len(inputs) != len(targets):
-        raise InvalidConfig(f"dataset {path} has {len(inputs)} inputs "
-                            f"but {len(targets)} targets")
-    manifolds.check_on_manifold(kind, np.concatenate([inputs, targets]), f"dataset {path}")
+        raise InvalidConfig(f"dataset has {len(inputs)} inputs but {len(targets)} targets")
+    manifolds.check_on_manifold(kind, np.concatenate([inputs, targets]), "dataset")
     return Dataset(kind=kind, inputs=inputs, targets=targets, metadata=doc["metadata"])
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the typing rule of its config
-dataclasses, and its file I/O: the JSON reader and the array check that turn
-a malformed input file into one of them, and the atomic JSON and CSV writers."""
+dataclasses, and its file I/O: the one JSON reader, which builds each input
+file's object and puts the file's path in front of every error it gives, the
+key and array checks that builders use, and the atomic JSON and CSV writers."""
 
 import contextlib
 import csv
@@ -28,21 +29,25 @@ class InvalidConfig(GeoResNetError):
     """A configuration object violates its own invariants."""
 
 
-def read_json_object(path):
-    """The JSON object a file holds; raises InvalidConfig if it holds none.
+def read_json_object(path, build):
+    """build(doc) for the JSON object doc that the file at path holds.
 
-    Every file the package reads (configs, sweep specs, datasets,
-    checkpoints) is a JSON object, so text that does not parse, or parses
-    to another type, is reported the same way for all of them.
+    Every input file passes here, so every error it gives starts with path:
+    InvalidConfig for text that does not parse (ValueError: bad syntax or
+    UTF-8, or an int past the digit limit; RecursionError: deep nesting) or
+    is not an object, and any InvalidConfig or OffManifold from build.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise InvalidConfig(f"{path} is not valid JSON: {err}") from None
+        except (ValueError, RecursionError) as err:
+            raise InvalidConfig(f"{path}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
-        raise InvalidConfig(f"{path} must hold a JSON object")
-    return doc
+        raise InvalidConfig(f"{path}: must hold a JSON object")
+    try:
+        return build(doc)
+    except (InvalidConfig, OffManifold) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def check_keys(doc, what, known=None, required=()):
@@ -53,6 +58,15 @@ def check_keys(doc, what, known=None, required=()):
     missing = [key for key in required if key not in doc]
     if missing:
         raise InvalidConfig(f"{what} lacks {missing}")
+
+
+def from_dict(cls, doc, what):
+    """cls(**doc) for a dataclass cls; InvalidConfig naming what if doc holds a
+    key that is not a field of cls, or lacks a field that has no default."""
+    fields = dataclasses.fields(cls)
+    check_keys(doc, what, known=[f.name for f in fields], required=[
+        f.name for f in fields if dataclasses.MISSING is f.default is f.default_factory])
+    return cls(**doc)
 
 
 def numeric_array(value, what, shape):
@@ -171,25 +185,22 @@ def _write_array(fh, array, level):
     fh.write("\n" + " " * level + "]")
 
 
-def is_a(kind, value):
-    """isinstance for a numbers ABC, with bool (an int subclass) excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _plain(kind, value):
+    if isinstance(value, bool) != (kind is bool):  # bool subclasses int, and is no number here
+        raise TypeError
     if kind is tuple and isinstance(value, (list, tuple)):
         return tuple(_plain(int, v) for v in value)
     if kind is dict and (value is None or isinstance(value, dict)):
         return dict(value or {})
-    if kind in (int, float) and is_a(numbers.Integral if kind is int else numbers.Real, value):
+    if isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}.get(kind, ())):
         return kind(value)
     raise TypeError
 
 
 def check_fields(obj, what):
     """Store each field of dataclass obj as the plain JSON type its annotation names:
-    int or float from a non-bool number, a tuple of ints from a list or tuple, dict
-    from a dict or None, str as given.  InvalidConfig names every field that fails."""
+    int or float from a non-bool number, bool from a bool, a tuple of ints from a list or
+    tuple, dict from a dict or None, str as given.  InvalidConfig names every field that fails."""
     wrong = []
     for field in [f for f in dataclasses.fields(obj) if f.type is not str]:
         try:

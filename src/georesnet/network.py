@@ -277,21 +277,23 @@ def save_checkpoint(path, cfg, theta, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint back as (config, theta, meta).
 
-    Raises InvalidConfig naming the file unless it holds model, space,
-    layers and params, params is a list of one object per layer, and each
-    object holds every field of the layer schema, numeric, at its shape,
-    all finite.
+    Raises InvalidConfig naming the file unless it holds model, space and
+    layers that make a NetworkConfig, and params, a list of one object per
+    layer, each holding every field of the layer schema, numeric, at its
+    shape, all finite.
     """
-    doc = read_json_object(path)
-    check_keys(doc, f"checkpoint {path}", required=("model", "space", "layers", "params"))
+    return read_json_object(path, _checkpoint)
+
+
+def _checkpoint(doc):
+    check_keys(doc, "checkpoint", required=("model", "space", "layers", "params"))
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
     entries = doc["params"]
     if not (isinstance(entries, list) and len(entries) == cfg.layers
             and all(isinstance(e, dict) for e in entries)):
-        raise InvalidConfig(f"checkpoint {path}: params must be a list of "
-                            f"{cfg.layers} objects, one per layer")
+        raise InvalidConfig(f"params must be a list of {cfg.layers} objects, one per layer")
     cls, schema, _ = layer_schema(cfg)
-    params = [cls(*(numeric_array(entry.get(name, ()), f"checkpoint {path} layer {n}: {name!r}",
-                                  shape) for name, shape in schema))
+    params = [cls(*(numeric_array(entry.get(name, ()), f"layer {n}: {name!r}", shape)
+                    for name, shape in schema))
               for n, entry in enumerate(entries)]
     return cfg, flatten_params(params), doc.get("meta", {})

@@ -9,13 +9,13 @@ Cells are independent; a diverged cell is recorded with status
 """
 
 import os
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 
 from . import data, network, train
-from .errors import (InvalidConfig, check_fields, check_keys, read_json_object, replacing,
+from .errors import (InvalidConfig, check_fields, from_dict, read_json_object, replacing,
                      write_csv, write_json)
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -52,13 +52,6 @@ class SweepSpec:
         cell_order(self)  # every cell, before any run
 
 
-def spec_from_dict(doc):
-    fields = SweepSpec.__dataclass_fields__
-    check_keys(doc, "sweep spec", known=fields,
-               required=[name for name, f in fields.items() if f.default is MISSING])
-    return SweepSpec(**doc)
-
-
 def default_spec(experiment):
     """The benchmark grids.  Training defaults to quick mode (2000 epochs)
     so a full sweep stays desk-scale; dataclasses.replace with
@@ -92,7 +85,7 @@ def cell_order(spec):
         raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
     kind = data.ode_by_id(spec.experiment).kind
     cells = [(network.NetworkConfig(model, kind, layers),
-              train.config_from_dict(spec.train, seed=seed))
+              from_dict(train.TrainConfig, dict(spec.train, seed=seed), "config"))
              for model, grid in ((network.CLASSICAL, spec.classical_layers),
                                  (network.MANIFOLD, spec.manifold_layers))
              for layers in grid for seed in spec.seeds]
@@ -281,4 +274,4 @@ def save_spec(spec, path):
 
 
 def load_spec(path):
-    return spec_from_dict(read_json_object(path))
+    return read_json_object(path, partial(from_dict, SweepSpec, what="sweep spec"))

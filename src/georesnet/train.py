@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad, manifolds, network
-from .errors import DivergenceDetected, InvalidConfig, check_fields, check_keys, write_csv
+from .errors import DivergenceDetected, InvalidConfig, check_fields, write_csv
 
 QUICK_EPOCHS = 2000
 
@@ -54,13 +54,6 @@ class TrainConfig:
         if self.seed < 0:
             raise InvalidConfig("seed must be nonnegative")
         object.__setattr__(self, "decay_epochs", tuple(sorted(self.decay_epochs)))
-
-
-def config_from_dict(doc, **overrides):
-    """TrainConfig from a flat dict (e.g. a parsed JSON config file)."""
-    values = {**(doc or {}), **overrides}
-    check_keys(values, "config", known=TrainConfig.__dataclass_fields__)
-    return TrainConfig(**values)
 
 
 @dataclass

@@ -93,12 +93,12 @@ def test_gen_data_rejects_unknown_and_wrongly_typed_config_values(tmp_path, caps
     for i, (bad, key) in enumerate((({"p_train": "x"}, "p_train"), ({"p_test": 2.7}, "p_test"),
                                     ({"p_train": True}, "p_train"), ({"steps": 8.0}, "steps"),
                                     ({"csv": "false"}, "csv"), ({"csv": 1}, "csv"),
-                                    ({"p_trian": 5}, "p_trian"))):
+                                    ({"p_trian": 5}, "p_trian"), ({"steps": "x"}, "steps"))):
         config = write_json(tmp_path / f"gen{i}.json", bad)
         out = tmp_path / f"d{i}"
         assert cli.main(gen_args(out, ["--config", config])) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err
+        assert err.startswith(f"error: {config}: ") and key in err
         assert not out.exists()
 
 
@@ -213,7 +213,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                          "--layers", "1", "--data", str(data_dir),
                          "--config", config, "--out", str(tmp_path / "run")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: unknown config keys")
+        assert capsys.readouterr().err.startswith(f"error: {config}: unknown config keys")
 
 
 def test_train_rejects_wrongly_typed_config_values(tmp_path, capsys):
@@ -257,8 +257,40 @@ def test_train_rejects_a_step_size_or_penalty_no_float_can_hold(tmp_path, capsys
                          "--config", config, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: wrongly typed config values") and key in err
+        assert err.startswith(f"error: {config}: wrongly typed config values") and key in err
         assert not out.exists()
+
+
+def train_args(config, out):
+    return ["train", "--model", "manifold", "--experiment", "exp1", "--layers", "1",
+            "--config", str(config), "--out", str(out)]
+
+
+def test_train_names_the_config_file_in_a_range_error(tmp_path, capsys):
+    # a file value is checked before a flag replaces it, so --seed 3 does not hide seed -1
+    for i, (bad, flags, message) in enumerate((
+            ({"lr0": -1}, [], "lr0 must be finite and positive"),
+            ({"seed": -1}, ["--seed", "3"], "seed must be nonnegative"))):
+        config = write_json(tmp_path / f"train{i}.json", bad)
+        out = tmp_path / f"run{i}"
+        assert cli.main(train_args(config, out) + flags) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
+
+
+# json's parser recurses once per nesting level, and int() refuses over 4300 digits
+HOSTILE_JSON = {"deep-nesting": '{"lr0": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
+                "5000-digit-integer": '{"lr0": ' + "1" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("text", HOSTILE_JSON.values(), ids=HOSTILE_JSON.keys())
+def test_train_reports_hostile_json_naming_the_file(tmp_path, capsys, text):
+    config = tmp_path / "hostile.json"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert cli.main(train_args(config, out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: not valid JSON: ")
+    assert not out.exists()
 
 
 def test_train_rejects_a_negative_seed(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,16 @@ def test_load_dataset_rejects_off_manifold_points(tmp_path):
         path, doc = saved_dataset(tmp_path, experiment)
         doc["inputs"][2] = (1.001 * np.asarray(doc["inputs"][2])).tolist()
         rejects(path, doc, OffManifold)
+
+
+def test_load_dataset_names_the_file_in_every_error(tmp_path):
+    path, doc = saved_dataset(tmp_path, "exp1")
+    rejects(path, dict(doc, kind="torus"), match=re.escape(f"{path}: unknown manifold kind"))
+    doc["inputs"][2] = [1.001, 0.0, 0.0]
+    rejects(path, doc, OffManifold, match=re.escape(f"{path}: dataset defect"))
+    path.write_text('{"kind": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+    with pytest.raises(InvalidConfig, match=re.escape(f"{path}: not valid JSON")):
+        data.load_dataset(path)
 
 
 def test_csv_export_headers_and_values(tmp_path):

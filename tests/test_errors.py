@@ -1,8 +1,10 @@
 """The JSON and CSV writers: json.dump's bytes and repr's floats, written atomically;
-and check_fields, the one typing rule of every config dataclass."""
+read_json_object, the one reader of every input file; and check_fields, the one
+typing rule of every config dataclass."""
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from georesnet import errors
-from georesnet.errors import InvalidConfig, check_fields, replacing, write_csv, write_json
+from georesnet.errors import (InvalidConfig, OffManifold, check_fields, read_json_object,
+                              replacing, write_csv, write_json)
 
 # every float64 is drawn: NaN, both infinities, -0.0 and subnormals included
 ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
@@ -112,15 +115,16 @@ class Fields:
     steps: tuple = ()
     extra: dict = None
     name: str = ""
+    flag: bool = False
 
 
 def test_check_fields_stores_each_annotation_as_its_plain_json_type():
     for rate in (np.float32(0.25), Fraction(1, 4), 0.25):
-        fields = Fields(np.int64(3), rate, [np.int64(2), 1], None, "as given")
+        fields = Fields(np.int64(3), rate, [np.int64(2), 1], None, "as given", True)
         check_fields(fields, "demo")
-        assert dataclasses.astuple(fields) == (3, 0.25, (2, 1), {}, "as given")
+        assert dataclasses.astuple(fields) == (3, 0.25, (2, 1), {}, "as given", True)
         assert [type(value) for value in dataclasses.astuple(fields)] == [
-            int, float, tuple, dict, str]
+            int, float, tuple, dict, str, bool]
         assert [type(step) for step in fields.steps] == [int, int]
     fields = Fields(rate=1)  # an integer given for a float field is stored as a float
     check_fields(fields, "demo")
@@ -130,11 +134,28 @@ def test_check_fields_stores_each_annotation_as_its_plain_json_type():
     check_fields(fields, "demo")
     assert fields.extra == extra and fields.extra is not extra
     with pytest.raises(InvalidConfig, match=r"wrongly typed demo values: \['count', 'rate', "
-                                            r"'steps', 'extra'\]"):
-        check_fields(Fields(True, False, (1, True), []), "demo")
+                                            r"'steps', 'extra', 'flag'\]"):
+        check_fields(Fields(True, False, (1, True), [], flag=0), "demo")
     # json reads a 401-digit integer exactly; no float holds it
     for bad in ({"rate": 10 ** 400}, {"rate": "1"}, {"steps": "12"}, {"steps": (1.0,)},
-                {"count": 2.0}, {"extra": 5}):
+                {"count": 2.0}, {"extra": 5}, {"count": True}, {"flag": 1}, {"flag": "true"}):
         with pytest.raises(InvalidConfig, match=f"\\['{next(iter(bad))}'\\]"):
             check_fields(Fields(**bad), "demo")
     check_fields(Fields(count=10 ** 400), "demo")  # an int field holds any integer
+
+
+def test_read_json_object_puts_the_path_before_every_input_error(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"a": 1}')
+    assert read_json_object(path, dict) == {"a": 1}
+    for error in (InvalidConfig, OffManifold):
+        def build(doc):
+            raise error(f"a is {doc['a']}")
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: a is 1$"):
+            read_json_object(path, build)
+    with pytest.raises(KeyError):  # a fault of the builder itself is not an input error
+        read_json_object(path, lambda doc: doc["b"])
+    for text in ("[1]", "{", "\xff", '{"a": ' + "1" * 5000 + "}", "[" * 10 ** 5 + "]" * 10 ** 5):
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}: "):
+            read_json_object(path, dict)

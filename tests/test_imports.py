@@ -1,5 +1,5 @@
-"""No module imports a name it never uses, no private helper is dead, and no
-config class types its own fields.
+"""No module imports a name it never uses, no private helper is dead, no
+config class types its own fields, and no module but errors parses JSON.
 
 No linter ships with the project, so these are the lint rules the suite
 keeps: every module-level import in src/georesnet/*.py, tests/*.py and
@@ -8,7 +8,9 @@ module-level function, class and constant of src/georesnet/*.py must be
 read somewhere in the package.  The package's __init__ is left out of the
 import rule, since its imports are re-exports.  Every *Config and *Spec
 dataclass of the package calls errors.check_fields in its __post_init__,
-so its fields are typed by their annotations, by one rule.
+so its fields are typed by their annotations, by one rule.  Only errors
+calls json.load or json.loads, so every input file is read through
+errors.read_json_object, which names the file in every error.
 """
 
 import ast
@@ -108,3 +110,34 @@ def test_every_config_dataclass_types_its_fields_through_check_fields():
         found.update(config_dataclasses(path.read_text()))
     assert {"NetworkConfig", "TrainConfig", "SweepSpec"} <= set(found)
     assert [name for name, checked in found.items() if not checked] == []
+
+
+def json_parses(source):
+    """The calls of json.load and json.loads in source, as spelled there: through the
+    module, an alias of it, or a name imported from it."""
+    tree = ast.parse(source)
+    imports = [(node.module if isinstance(node, ast.ImportFrom) else None, alias)
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    modules = {alias.asname or alias.name for module, alias in imports
+               if module is None and alias.name == "json"}
+    names = {alias.asname or alias.name for module, alias in imports
+             if module == "json" and alias.name in ("load", "loads")}
+    return [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id in names
+                 or isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads")
+                 and getattr(node.func.value, "id", None) in modules)]
+
+
+def test_json_parses_finds_every_spelling_of_a_parse_and_nothing_else():
+    source = ("import json\nimport json as j\nimport numpy as np\n"
+              "from json import dumps, loads as parse\n\n"
+              "json.load(fh)\nj.loads(text)\nparse(text)\n"
+              "json.dumps(doc)\ndumps(doc)\nnp.load(path)\nloads(text)\n")
+    assert json_parses(source) == ["json.load", "j.loads", "parse"]
+
+
+def test_only_errors_parses_json():
+    found = {path.name: json_parses(path.read_text()) for path in PACKAGE}
+    assert found.pop("errors.py") == ["json.load"]
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -477,7 +477,7 @@ def test_load_checkpoint_rejects_non_finite_values(tmp_path):
         path, doc = saved_checkpoint(tmp_path, so3_cfg(1, network.CLASSICAL))
         doc["params"][0]["bias"][4] = bad
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidConfig, match="ckpt.json layer 0: 'bias'"):
+        with pytest.raises(InvalidConfig, match="ckpt.json: layer 0: 'bias' holds non-finite"):
             network.load_checkpoint(path)
 
 
@@ -504,6 +504,18 @@ def test_load_checkpoint_rejects_malformed_json(tmp_path):
         path.write_text(text, encoding="latin-1")
         with pytest.raises(InvalidConfig, match="ckpt.json"):
             network.load_checkpoint(path)
+
+
+def test_load_checkpoint_names_the_file_in_a_config_error(tmp_path):
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(1))
+    for bad, message in (({"layers": 2.0}, "wrongly typed network config values: ['layers']"),
+                         ({"model": "resnet"}, "unknown model 'resnet'")):
+        path.write_text(json.dumps(dict(doc, **bad)))
+        with pytest.raises(InvalidConfig, match=re.escape(f"{path}: {message}")):
+            network.load_checkpoint(path)
+    path.write_text('{"model": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+    with pytest.raises(InvalidConfig, match=re.escape(f"{path}: not valid JSON")):
+        network.load_checkpoint(path)
 
 
 def test_init_is_seed_deterministic():

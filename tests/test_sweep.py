@@ -4,12 +4,13 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from georesnet import data, manifolds, network, sweep, train
-from georesnet.errors import InvalidConfig
+from georesnet.errors import InvalidConfig, from_dict
 
 
 def tiny_spec(**overrides):
@@ -146,12 +147,19 @@ def test_run_sweep_rechecks_a_train_dict_changed_after_the_spec_was_made(tmp_pat
 
 def test_spec_dict_round_trip(tmp_path):
     spec = tiny_spec()
-    assert sweep.spec_from_dict(dataclasses.asdict(spec)) == spec
+    assert from_dict(sweep.SweepSpec, dataclasses.asdict(spec), "sweep spec") == spec
     path = tmp_path / "spec.json"
     sweep.save_spec(spec, path)
     assert sweep.load_spec(path) == spec
     with pytest.raises(InvalidConfig):
-        sweep.spec_from_dict({"experiment": "exp1", "grid": []})
+        from_dict(sweep.SweepSpec, {"experiment": "exp1", "grid": []}, "sweep spec")
+
+
+def test_load_spec_names_the_file_in_a_cell_error(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(dataclasses.asdict(tiny_spec()), seeds=[-1])))
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}: seed must be nonnegative"):
+        sweep.load_spec(path)
 
 
 def test_cell_order_is_classical_first_and_exhaustive():
@@ -173,7 +181,7 @@ def test_cell_order_is_classical_first_and_exhaustive():
 def cell(model, layers, **overrides):
     """A cell's configs on tiny_spec's sphere data, as cell_order builds them."""
     return (network.NetworkConfig(model, manifolds.SPHERE2, layers),
-            train.config_from_dict({"epochs": 3, **overrides}, seed=0))
+            from_dict(train.TrainConfig, {"epochs": 3, **overrides, "seed": 0}, "config"))
 
 
 def test_run_cell_trains_and_reports():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from georesnet import data, grad, manifolds, network, train
-from georesnet.errors import DivergenceDetected, InvalidConfig, OffManifold, write_json
+from georesnet.errors import DivergenceDetected, InvalidConfig, OffManifold, from_dict, write_json
 
 
 def sphere_config(layers, model=network.MANIFOLD):
@@ -136,8 +136,8 @@ def test_config_rejects_wrongly_typed_values():
     for bad in ({"epochs": "10"}, {"lr0": "1"}, {"epochs": 2.5}, {"batch_size": 2.5},
                 {"decay_epochs": 500}, {"decay_epochs": [500, "1000"]}, {"seed": True}):
         with pytest.raises(InvalidConfig):
-            train.config_from_dict(bad)
-    assert train.config_from_dict({"lr0": 1, "epochs": np.int64(3)}).epochs == 3
+            from_dict(train.TrainConfig, bad, "config")
+    assert from_dict(train.TrainConfig, {"lr0": 1, "epochs": np.int64(3)}, "config").epochs == 3
 
 
 def test_config_stores_real_values_as_floats_json_can_write(tmp_path):
@@ -148,18 +148,20 @@ def test_config_stores_real_values_as_floats_json_can_write(tmp_path):
         assert (type(cfg.lam), type(cfg.lr0), type(cfg.momentum)) == (float, float, float)
         assert cfg.lam == float(lam)
         write_json(tmp_path / "meta.json", dataclasses.asdict(cfg))
-        assert train.config_from_dict(json.loads((tmp_path / "meta.json").read_text())) == cfg
+        doc = json.loads((tmp_path / "meta.json").read_text())
+        assert from_dict(train.TrainConfig, doc, "config") == cfg
 
 
-def test_config_from_dict_round_trips_and_rejects_unknowns():
+def test_from_dict_round_trips_a_train_config_and_rejects_unknowns():
     cfg = train.TrainConfig(lr0=2.0, epochs=17)
-    assert train.config_from_dict(dataclasses.asdict(cfg)) == cfg
-    assert train.config_from_dict({}, epochs=5).epochs == 5
-    assert train.config_from_dict({"decay_epochs": [10, 20]}).decay_epochs == (10, 20)
+    assert from_dict(train.TrainConfig, dataclasses.asdict(cfg), "config") == cfg
+    assert from_dict(train.TrainConfig, {"epochs": 5}, "config").epochs == 5
+    assert from_dict(train.TrainConfig, {"decay_epochs": [10, 20]},
+                     "config").decay_epochs == (10, 20)
     # training is full batch only; batch_size is not a key
     for unknown in ({"learning_rate": 1.0}, {"batch_size": 3}):
         with pytest.raises(InvalidConfig, match=next(iter(unknown))):
-            train.config_from_dict(unknown)
+            from_dict(train.TrainConfig, unknown, "config")
 
 
 # --- training loop ----------------------------------------------------------
