@@ -32,6 +32,10 @@ class GenDataConfig:
 
     def __post_init__(self):
         check_fields(self, "gen-data config")
+        if min(self.p_train, self.p_test) < 1:
+            raise InvalidConfig("dataset sizes must be at least 1")
+        if self.steps < 1:
+            raise InvalidConfig("steps must be at least 1")
 
 
 def _read_config(path, cls, what):

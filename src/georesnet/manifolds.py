@@ -6,6 +6,8 @@ along a leading axis.  Functions that need to know the manifold take the
 kind as their first argument because a (3, 3) array is ambiguous on its own.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidConfig, OffManifold
@@ -26,8 +28,7 @@ def check_kind(kind):
 
 def ambient_dim(kind):
     """Dimension of the flattened ambient state: 3 for S2, 9 for SO(3)."""
-    check_kind(kind)
-    return 3 if kind == SPHERE2 else 9
+    return math.prod(point_shape(kind))
 
 
 def point_shape(kind):

@@ -22,7 +22,8 @@ only network_forward and save_checkpoint cut it up (unflatten_params).
 """
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,31 +61,13 @@ class NetworkConfig:
     def generators(self):
         return lie.standard_generators(self.space)
 
-    @property
-    def state_dim(self):
-        return manifolds.ambient_dim(self.space)
 
-
-@dataclass
-class ManifoldLayerParams:
-    """Per-generator gain, linear weight, and bias for one geometric layer."""
-
-    gains: np.ndarray    # (m,)
-    weights: np.ndarray  # (m, 3) on the sphere, (m, 3, 3) on SO(3)
-    biases: np.ndarray   # (m,)
-
-
-@dataclass
-class ClassicalLayerParams:
-    """One residual block x + dt * w_out @ sigma(w_in @ x + bias)."""
-
-    w_out: np.ndarray  # (d, d)
-    w_in: np.ndarray   # (d, d)
-    bias: np.ndarray   # (d,)
-
-
-_FIELDS = {cls: tuple(f.name for f in fields(cls))
-           for cls in (ManifoldLayerParams, ClassicalLayerParams)}
+# One layer's parameters, each tuple in theta's stored order.  Geometric, per
+# generator: gains (m,), weights (m, 3) on the sphere or (m, 3, 3) on SO(3), biases (m,).
+ManifoldLayerParams = namedtuple("ManifoldLayerParams", "gains weights biases")
+# The residual block x + dt * w_out @ sigma(w_in @ x + bias) on d flat coordinates,
+# d = manifolds.ambient_dim: w_out (d, d), w_in (d, d), bias (d,).
+ClassicalLayerParams = namedtuple("ClassicalLayerParams", "w_out w_in bias")
 
 
 @dataclass
@@ -178,7 +161,7 @@ def network_forward(x0, theta, cfg):
     manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
     only manifold check on the way through the layers.
 
-    The baseline works on flat ambient rows of length cfg.state_dim: the
+    The baseline works on flat ambient rows, one point's entries each: the
     batch is flattened here on entry, the trace records the flat states,
     and the output is reshaped back to points on exit.
     """
@@ -192,7 +175,7 @@ def network_forward(x0, theta, cfg):
         manifolds.check_on_manifold(cfg.space, x, "network input")
         layer_forward = manifold_layer_forward
     else:
-        x = x.reshape(len(x), cfg.state_dim)
+        x = x.reshape(len(x), math.prod(shape))
         layer_forward = classical_layer_forward
     x = np.ascontiguousarray(x)  # the layers round a row as in a C-ordered batch
     trace = ForwardTrace(cfg, params, [x], [])
@@ -204,9 +187,9 @@ def network_forward(x0, theta, cfg):
 
 
 def layer_schema(cfg):
-    """The stored layout of one layer: (dataclass, fields, init scale).
+    """The stored layout of one layer: (named tuple type, fields, init scale).
 
-    fields pairs each dataclass field name with its per-layer shape, in
+    fields pairs each of the type's field names with its per-layer shape, in
     stored order; parameter counting, initialization, flattening and
     checkpoints all follow it.  init_scale
     multiplies the uniform(-0.5, 0.5) initial draw: 1/sqrt(d) for the
@@ -217,9 +200,9 @@ def layer_schema(cfg):
         weights = (m,) + manifolds.point_shape(cfg.space)
         cls, shapes, scale = ManifoldLayerParams, ((m,), weights, (m,)), 1.0
     else:
-        d = cfg.state_dim
+        d = manifolds.ambient_dim(cfg.space)
         cls, shapes, scale = ClassicalLayerParams, ((d, d), (d, d), (d,)), 1.0 / np.sqrt(d)
-    return cls, tuple(zip(_FIELDS[cls], shapes)), scale
+    return cls, tuple(zip(cls._fields, shapes)), scale
 
 
 def param_count(cfg):
@@ -238,8 +221,7 @@ def init_params(cfg, rng):
 
 def flatten_params(params):
     """theta: a per-layer list's scalars as one 1-d vector, layer by layer in field order."""
-    return np.concatenate([getattr(p, name).ravel()
-                           for p in params for name in _FIELDS[type(p)]])
+    return np.concatenate([array.ravel() for layer in params for array in layer])
 
 
 def unflatten_params(theta, cfg):
@@ -260,13 +242,11 @@ def unflatten_params(theta, cfg):
 
 def save_checkpoint(path, cfg, theta, meta=None):
     """Write architecture and theta as JSON, one object per layer; floats round-trip bitwise."""
-    schema = layer_schema(cfg)[1]
     doc = {
         "model": cfg.model,
         "space": cfg.space,
         "layers": cfg.layers,
-        "params": [{name: getattr(p, name) for name, _ in schema}
-                   for p in unflatten_params(theta, cfg)],
+        "params": [layer._asdict() for layer in unflatten_params(theta, cfg)],
         "meta": meta or {},
     }
     if cfg.model == MANIFOLD:

@@ -9,7 +9,7 @@ Cells are independent; a diverged cell is recorded with status
 """
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -47,6 +47,8 @@ class SweepSpec:
         for name in ("manifold_layers", "classical_layers", "seeds"):
             if not (values := getattr(self, name)) or len(set(values)) < len(values):
                 raise InvalidConfig(f"{name} must be nonempty and repeat no entry: {list(values)}")
+        if min(self.p_train, self.p_test) < 1:
+            raise InvalidConfig("dataset sizes must be at least 1")
         if self.data_seed < 0:
             raise InvalidConfig("data_seed must be nonnegative")
         cell_order(self)  # every cell, before any run
@@ -80,18 +82,21 @@ class CellResult:
 def cell_order(spec):
     """The one place a spec becomes cells: each cell's (NetworkConfig, TrainConfig),
     classical first, then geometric, by layer count, then by seed.  Every call
-    checks spec.train again, since the dict of a frozen spec can still change."""
+    checks spec.train again, since the dict of a frozen spec can still change,
+    and every error it finds there names train."""
     if "seed" in spec.train:
         raise InvalidConfig("train may not set seed: each cell trains at one of seeds")
-    kind = data.ode_by_id(spec.experiment).kind
-    cells = [(network.NetworkConfig(model, kind, layers),
-              from_dict(train.TrainConfig, dict(spec.train, seed=seed), "config"))
-             for model, grid in ((network.CLASSICAL, spec.classical_layers),
-                                 (network.MANIFOLD, spec.manifold_layers))
-             for layers in grid for seed in spec.seeds]
-    if any(cfg.epochs < 1 for _, cfg in cells):
+    try:
+        base = from_dict(train.TrainConfig, spec.train, "config")
+    except InvalidConfig as err:
+        raise InvalidConfig(f"train: {err}") from None
+    if base.epochs < 1:
         raise InvalidConfig("train.epochs must be at least 1: a cell reports its last epoch")
-    return cells
+    kind = data.ode_by_id(spec.experiment).kind
+    return [(network.NetworkConfig(model, kind, layers), replace(base, seed=seed))
+            for model, grid in ((network.CLASSICAL, spec.classical_layers),
+                                (network.MANIFOLD, spec.manifold_layers))
+            for layers in grid for seed in spec.seeds]
 
 
 def run_cell(datasets, net_cfg, cfg, out_dir=None):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import georesnet
-from georesnet import cli, data, grad, network, sweep
+from georesnet import cli, data, grad, network, sweep, train
 
 
 def write_json(path, doc):
@@ -100,6 +100,24 @@ def test_gen_data_rejects_unknown_and_wrongly_typed_config_values(tmp_path, caps
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and key in err
         assert not out.exists()
+
+
+def test_gen_data_names_the_config_file_in_a_size_error(tmp_path, capsys):
+    # sizes are checked when the file is read; a flag value has no file to name
+    for i, (bad, message) in enumerate((({"p_train": 0}, "dataset sizes must be at least 1"),
+                                        ({"p_test": -2}, "dataset sizes must be at least 1"),
+                                        ({"steps": 0}, "steps must be at least 1"))):
+        config = write_json(tmp_path / f"gen{i}.json", bad)
+        out = tmp_path / f"d{i}"
+        assert cli.main(["gen-data", "--experiment", "exp1", "--config", config,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
+    args = gen_args(tmp_path / "flag")
+    args[args.index("--train-size") + 1] = "0"
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: dataset sizes must be at least 1\n"
+    assert not (tmp_path / "flag").exists()
 
 
 def test_unknown_experiment_fails_cleanly(tmp_path, capsys):
@@ -293,6 +311,30 @@ def test_train_reports_hostile_json_naming_the_file(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_train_reports_a_missing_data_directory_as_an_io_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--model", "manifold", "--experiment", "exp1", "--layers", "1",
+                     "--data", str(tmp_path / "missing"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert not out.exists()
+
+
+def test_train_with_zero_epochs_records_the_initial_net(tmp_path, capsys):
+    data_dir = make_data_dir(tmp_path)
+    config = write_json(tmp_path / "train.json", {"epochs": 0})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(["train", "--model", "classical", "--experiment", "exp1", "--layers", "2",
+                     "--data", str(data_dir), "--config", config, "--seed", "4",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "classical exp1 M=2: no epochs recorded [ok]\n"
+    with open(out / "metrics.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [list(train.METRICS_COLUMNS)]
+    cfg, theta, meta = network.load_checkpoint(out / "checkpoint.json")
+    assert np.array_equal(theta, network.init_params(cfg, np.random.default_rng(4)))
+    assert meta == {"seed": 4, "status": "ok"}
+
+
 def test_train_rejects_a_negative_seed(tmp_path, capsys):
     for flag in ("--seed", "--data-seed"):
         code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
@@ -401,6 +443,23 @@ def test_sweep_names_the_keys_a_spec_lacks(tmp_path, capsys):
     assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lacks ['manifold_layers', 'classical_layers']" in err
+
+
+def test_sweep_names_the_train_object_and_the_file_in_a_spec_error(tmp_path, capsys):
+    # a spec has no top-level config: an error in its train overrides says train
+    base = {"experiment": "exp1", "manifold_layers": [1], "classical_layers": [1],
+            "seeds": [0], "train": {"epochs": 1}, "p_train": 4, "p_test": 4}
+    for i, (bad, message) in enumerate((
+            ({"train": {"lr0": "x"}}, "train: wrongly typed config values: ['lr0']"),
+            ({"train": {"lr": 1}}, "train: unknown config keys: ['lr']"),
+            ({"train": {"lr0": -1}}, "train: lr0 must be finite and positive"),
+            ({"p_train": 0}, "dataset sizes must be at least 1"),
+            ({"p_test": 0}, "dataset sizes must be at least 1"))):
+        config = write_json(tmp_path / f"spec{i}.json", {**base, **bad})
+        out = tmp_path / f"out{i}"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
 
 
 def test_sweep_seed_overrides_the_data_seed_of_either_spec(tmp_path, monkeypatch):

@@ -256,7 +256,7 @@ def test_manifold_vjp_matches_central_differences_at_saturated_gates_and_branch_
 
 def assert_classical_vjp_matches_central_differences(space, layers, gates, seed):
     cfg = network.NetworkConfig(network.CLASSICAL, space, layers)
-    d = cfg.state_dim
+    d = manifolds.ambient_dim(space)
     rng = np.random.default_rng(seed)
     x = manifolds.sample_uniform(space, rng, 1).reshape(1, d)
     w_out, w_in = rng.uniform(-1.0, 1.0, (2, d, d))

@@ -392,7 +392,7 @@ def test_unflatten_returns_views_into_the_vector():
         flat = network.init_params(cfg, rng)
         params = network.unflatten_params(flat, cfg)
         for layer in params:
-            for field in vars(layer).values():
+            for field in layer:
                 assert np.shares_memory(field, flat)
                 assert field.flags.c_contiguous
         flat[...] = 7.0
@@ -426,6 +426,28 @@ def test_checkpoint_records_generator_names(tmp_path):
     network.save_checkpoint(path, cfg, theta)
     doc = json.loads(path.read_text())
     assert doc["generators"] == ["rot_z", "rot_y", "rot_x"]
+
+
+STORED_FIELDS = {network.MANIFOLD: ["gains", "weights", "biases"],
+                 network.CLASSICAL: ["w_out", "w_in", "bias"]}
+
+
+@pytest.mark.parametrize("model", network.MODELS)
+@pytest.mark.parametrize("space", manifolds.KINDS)
+def test_checkpoint_stores_each_layer_in_the_schema_order(tmp_path, model, space):
+    # theta, the per-layer params type and the checkpoint all follow one field order
+    cfg = network.NetworkConfig(model, space, 2)
+    theta = network.init_params(cfg, np.random.default_rng(23))
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, cfg, theta)
+    schema = network.layer_schema(cfg)[1]
+    assert [name for name, _ in schema] == STORED_FIELDS[model]
+    layers = json.loads(path.read_text())["params"]
+    for layer in layers:
+        assert list(layer) == STORED_FIELDS[model]
+        assert [np.shape(layer[name]) for name in layer] == [shape for _, shape in schema]
+    first = np.ravel(layers[0][STORED_FIELDS[model][0]])
+    assert np.array_equal(theta[:len(first)], first)
 
 
 def saved_checkpoint(tmp_path, cfg):
