@@ -292,6 +292,9 @@ def main(argv=None):
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"memory error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ _BY_ID = {ode.id: ode for ode in (EXP1, EXP2)}
 def ode_by_id(experiment):
     key = str(experiment).lower()
     if key not in _BY_ID:
-        raise InvalidConfig(f"unknown experiment {experiment!r}; expected exp1 or exp2")
+        raise InvalidConfig(f"unknown experiment {experiment!r}; expected {' or '.join(_BY_ID)}")
     return _BY_ID[key]
 
 

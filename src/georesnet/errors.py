@@ -15,6 +15,10 @@ import numpy as np
 
 ROWS_PER_BLOCK = 1024  # leading-axis items formatted per write of an array
 _MARK = "\0ndarray\0"  # what json writes in place of an array leaf
+# Bound on every config integer's magnitude: far past any count a run can use,
+# and low enough that an array size built from counts stays inside numpy's index
+# range, so one too large for memory raises MemoryError, not numpy's ValueError.
+MAX_INT = 2 ** 31 - 1
 
 
 class GeoResNetError(Exception):
@@ -193,6 +197,8 @@ def _plain(kind, value):
     if kind is dict and (value is None or isinstance(value, dict)):
         return dict(value or {})
     if isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}.get(kind, ())):
+        if kind is int and not -MAX_INT <= value <= MAX_INT:
+            raise ValueError
         return kind(value)
     raise TypeError
 
@@ -200,15 +206,20 @@ def _plain(kind, value):
 def check_fields(obj, what):
     """Store each field of dataclass obj as the plain JSON type its annotation names:
     int or float from a non-bool number, bool from a bool, a tuple of ints from a list or
-    tuple, dict from a dict or None, str as given.  InvalidConfig names every field that fails."""
-    wrong = []
+    tuple, dict from a dict or None, str as given; every int within MAX_INT of 0.
+    InvalidConfig names every wrongly typed field, else every field out of range."""
+    wrong, out_of_range = [], []
     for field in [f for f in dataclasses.fields(obj) if f.type is not str]:
         try:
             object.__setattr__(obj, field.name, _plain(field.type, getattr(obj, field.name)))
         except (TypeError, OverflowError):  # OverflowError: an int beyond float range
             wrong.append(field.name)
+        except ValueError:
+            out_of_range.append(field.name)
     if wrong:
         raise InvalidConfig(f"wrongly typed {what} values: {wrong}")
+    if out_of_range:
+        raise InvalidConfig(f"{what} values out of range [-{MAX_INT}, {MAX_INT}]: {out_of_range}")
 
 
 class DivergenceDetected(GeoResNetError):

@@ -74,21 +74,18 @@ def lie_hull(gens, depth):
     """A basis of the span of the generators and their brackets up to depth,
     as axial rows, shape (h, 3).
 
-    Depth 0 spans the generators themselves.  Each level brackets all pairs
-    of the fields kept so far, and keeps a field only if it is linearly
-    independent of those before it: the hull feeds a span computation, and
-    without the test the sphere's hull grows 2, 6, 42, 1806 fields by depth 3.
+    Depth 0 keeps each generator linearly independent of those kept before
+    it.  Every depth from 1 on gives one hull: a bracket is a cross product,
+    so only the bracket of exactly two kept fields can add a field, and the
+    same rank test decides.
     """
     if depth < 0:
         raise InvalidConfig("hull depth must be nonnegative")
     hull = []
     for a in gens.axials:
         _append_independent(hull, a)
-    for _ in range(depth):
-        current = list(hull)
-        for a in current:
-            for b in current:
-                _append_independent(hull, lie_bracket(a, b))
+    if depth > 0 and len(hull) == 2:
+        _append_independent(hull, lie_bracket(*hull))
     return np.reshape(hull, (len(hull), 3))
 
 
@@ -109,11 +106,11 @@ def bracket_generating_at(gens, points, depth=2):
     """Whether the hull fields span the full tangent space, at each point.
 
     points is a batch of manifold points; the result holds one verdict per
-    point.  The hull is built once; every hull field is evaluated at every
-    point, and the numerical rank of each point's stacked (flattened)
-    values is compared with the manifold's tangent dimension.  An empty
-    hull (all generators zero) spans nothing, and an empty batch gets no
-    verdicts.
+    point.  The hull, the same at every depth >= 1, is built once; every
+    hull field is evaluated at every point, and the numerical rank of each
+    point's stacked (flattened) values is compared with the manifold's
+    tangent dimension.  An empty hull (all generators zero) spans nothing,
+    and an empty batch gets no verdicts.
     """
     points = np.asarray(points, dtype=float)
     shape = manifolds.point_shape(gens.kind)

@@ -87,14 +87,9 @@ def _quat_to_matrix(q):
 
 
 def _unit_gaussian(rng, n, d):
-    """n unit d-vectors from normalized Gaussians; redraws zero-norm rows."""
+    """n unit d-vectors from normalized Gaussians."""
     v = rng.standard_normal((n, d))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):  # probability ~0, but keep sampling total
-        bad = norms < 1e-12
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def sample_uniform(kind, rng, size=None):

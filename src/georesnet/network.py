@@ -93,8 +93,7 @@ def sigmoid(z):
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, without an
     # exponent that can overflow
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if z.ndim == 0 else out
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _matmul_rows(a, b):

@@ -205,8 +205,7 @@ def _panel(results, field, x0, title):
 
     def sy(v):
         v = max(v, 1e-16)
-        span = np.log10(vhi) - np.log10(vlo)
-        span = span if span > 0 else 1.0
+        span = np.log10(vhi) - np.log10(vlo)  # about 1 or more: vhi >= 10 * vlo
         top = _MARGIN_T
         return top + (np.log10(vhi) - np.log10(v)) / span * _PANEL_H
 

@@ -516,6 +516,46 @@ def test_train_and_a_sweep_cell_write_the_same_run(tmp_path):
             assert (cell / name).read_bytes() == (root / "train" / name).read_bytes(), name
 
 
+# --- counts too large to run ------------------------------------------------
+
+def test_a_count_past_the_integer_bound_exits_1_naming_its_file(tmp_path, capsys):
+    # each count is refused when its config is made, before anything is allocated
+    # or any directory made; the error names the file the count came from, if any
+    huge = 10 ** 30
+    configs = {"train": {"epochs": huge}, "gen": {"p_train": 10 ** 45},
+               "spec": {"experiment": "exp1", "manifold_layers": [huge],
+                        "classical_layers": [1]}}
+    paths = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in configs.items()}
+    train_cmd = ["train", "--model", "manifold", "--experiment", "exp1", "--layers"]
+    gen_cmd = ["gen-data", "--experiment", "exp1"]
+    for i, (args, path, what, key) in enumerate((
+            (train_cmd + [str(huge)], None, "network config", "layers"),
+            (train_cmd + ["1", "--config", paths["train"]], paths["train"], "config", "epochs"),
+            (["sweep", "--config", paths["spec"]], paths["spec"], "sweep spec",
+             "manifold_layers"),
+            (gen_cmd + ["--config", paths["gen"]], paths["gen"], "gen-data config", "p_train"),
+            (gen_cmd + ["--train-size", str(10 ** 45)], None, "gen-data config", "p_train"))):
+        out = tmp_path / f"out{i}"
+        assert cli.main([*args, "--out", str(out)]) == 1
+        where = f"{path}: " if path else ""
+        assert capsys.readouterr().err == (f"error: {where}{what} values out of range "
+                                           f"[-2147483647, 2147483647]: ['{key}']\n")
+        assert not out.exists()
+
+
+def test_running_out_of_memory_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 7.28 TiB for an array with shape (10**12,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(data, "generate_dataset", refuse)
+    out = tmp_path / "d"
+    assert cli.main(gen_args(out)) == 1
+    assert capsys.readouterr().err == f"memory error: {message}\n"
+    assert not out.exists()
+
+
 # --- JSON artifacts ---------------------------------------------------------
 
 def test_json_artifacts_keep_the_bytes_of_json_dump(tmp_path):

@@ -141,8 +141,9 @@ def test_exp2_field_is_tangent_to_the_rotation_group():
 def test_ode_lookup_is_case_insensitive():
     assert data.ode_by_id("EXP1") is data.EXP1
     assert data.ode_by_id("exp2") is data.EXP2
-    with pytest.raises(InvalidConfig):
-        data.ode_by_id("exp3")
+    with pytest.raises(InvalidConfig) as err:
+        data.ode_by_id("exp9")
+    assert str(err.value) == "unknown experiment 'exp9'; expected exp1 or exp2"
 
 
 # --- integrator -------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from georesnet import errors
-from georesnet.errors import (InvalidConfig, OffManifold, check_fields, read_json_object,
-                              replacing, write_csv, write_json)
+from georesnet.errors import (MAX_INT, InvalidConfig, OffManifold, check_fields,
+                              read_json_object, replacing, write_csv, write_json)
 
 # every float64 is drawn: NaN, both infinities, -0.0 and subnormals included
 ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
@@ -141,7 +141,18 @@ def test_check_fields_stores_each_annotation_as_its_plain_json_type():
                 {"count": 2.0}, {"extra": 5}, {"count": True}, {"flag": 1}, {"flag": "true"}):
         with pytest.raises(InvalidConfig, match=f"\\['{next(iter(bad))}'\\]"):
             check_fields(Fields(**bad), "demo")
-    check_fields(Fields(count=10 ** 400), "demo")  # an int field holds any integer
+    fields = Fields(count=MAX_INT, steps=[-MAX_INT, np.int64(MAX_INT)])
+    check_fields(fields, "demo")  # the bound itself is in range, either sign
+    assert (fields.count, fields.steps) == (MAX_INT, (-MAX_INT, MAX_INT))
+    out_of_range = r"demo values out of range \[-2147483647, 2147483647\]: "
+    for bad, names in (({"count": MAX_INT + 1}, "['count']"),
+                       ({"count": -10 ** 400, "steps": (1, np.int64(-MAX_INT - 1))},
+                        "['count', 'steps']")):
+        with pytest.raises(InvalidConfig, match=out_of_range + re.escape(names) + "$"):
+            check_fields(Fields(**bad), "demo")
+    # a wrongly typed field is named first, alone
+    with pytest.raises(InvalidConfig, match=r"wrongly typed demo values: \['rate'\]$"):
+        check_fields(Fields(count=10 ** 400, rate="1"), "demo")
 
 
 def test_read_json_object_puts_the_path_before_every_input_error(tmp_path):

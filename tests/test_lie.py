@@ -217,25 +217,34 @@ def commutator_verdicts(hull, kind, points):
 
 def test_axial_hull_and_verdicts_equal_the_commutator_reference():
     z, y, x = lie.ROT_Z, lie.ROT_Y, lie.ROT_X
-    sets = ([z, y], [z], [z, y, x], [z, -2.0 * z, y],
-            [1e-3 * z, 1e-3 * y], [1e3 * z, 1e3 * y])
+    a, b = np.random.default_rng(7).standard_normal((2, 3))
+    sets = [[z, y], [z], [z, y, x], [z, -2.0 * z, y],
+            [1e-3 * z, 1e-3 * y], [1e3 * z, 1e3 * y],
+            [z, y, z - 3.0 * y], [a, b, 2.0 * a - 0.5 * b],  # coplanar triples
+            [a, -3.0 * a],  # an exactly parallel pair
+            [a, a + 1e-6 * b],  # a pair parallel to within 1e-6
+            [z, np.zeros(3), y]]  # a zero row
     compared = 0
     for seed in (0, 1, 2, 20240817):
         rng = np.random.default_rng(seed)
         points = {manifolds.SPHERE2: np.concatenate(
                       [manifolds.sample_uniform(manifolds.SPHERE2, rng, 1000), np.eye(3)]),
                   manifolds.SO3: manifolds.sample_uniform(manifolds.SO3, rng, 101)}
+        drawn = [rng.standard_normal((m, 3)) for m in (1, 2, 3, 4)]
         for kind, pts in points.items():
-            for axials in sets:
+            for axials in sets + drawn:
                 gens = generator_set(axials, kind)
-                for depth in (0, 1, 2):
+                for depth in (0, 1, 2, 3):
                     reference = commutator_hull(gens.axials, depth)
                     rows = np.array([[m[2, 1], m[0, 2], m[1, 0]] for m in reference])
-                    assert lie.lie_hull(gens, depth).tobytes() == rows.tobytes()
+                    hull = lie.lie_hull(gens, depth)
+                    assert hull.tobytes() == rows.tobytes()
+                    # brackets of so(3) close in one step: every depth >= 1 gives one hull
+                    assert depth < 2 or hull.tobytes() == lie.lie_hull(gens, 1).tobytes()
                     verdicts = lie.bracket_generating_at(gens, pts, depth)
                     assert np.array_equal(verdicts, commutator_verdicts(reference, kind, pts))
                     compared += len(verdicts)
-    assert compared == 79488
+    assert compared == 264960  # 4 seeds x (1003 + 101) points x 15 sets x 4 depths
 
 
 # --- tangency ---------------------------------------------------------------
