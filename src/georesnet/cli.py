@@ -69,10 +69,9 @@ def _load_datasets(args, experiment):
         train_ds = data.load_dataset(os.path.join(args.data, "train.json"))
         test_ds = data.load_dataset(os.path.join(args.data, "test.json"))
         return train_ds, test_ds, {"source": args.data}
-    seed = 0 if args.data_seed is None else args.data_seed
     train_ds, test_ds = data.generate_dataset(experiment, data.DEFAULT_PAIRS, data.DEFAULT_PAIRS,
-                                              seed)
-    return train_ds, test_ds, {"source": "generated", "data_seed": seed}
+                                              args.data_seed)
+    return train_ds, test_ds, {"source": "generated", "data_seed": args.data_seed}
 
 
 def cmd_train(args):
@@ -258,7 +257,8 @@ def build_parser():
     p.add_argument("--layers", type=int, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--data", default=None, help="directory with train.json/test.json")
-    source.add_argument("--data-seed", type=int, default=None,
+    # a string default is parsed like a flag, so "--data-seed 0" beside --data is still refused
+    source.add_argument("--data-seed", type=int, default="0",
                         help="seed for on-the-fly data when --data is absent (default 0)")
     p.add_argument("--seed", type=int, default=None, help="training seed override")
     p.add_argument("--config", default=None)

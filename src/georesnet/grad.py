@@ -31,7 +31,7 @@ only the layer VJPs see per-layer parameters, read from the trace.
 
 import numpy as np
 
-from . import manifolds, network
+from . import network
 from .errors import InvalidConfig
 from .linalg import _sinc_series, axial_norm, by_angle, skew_from_axial
 
@@ -86,35 +86,27 @@ def rotation_cotangent(g, omega):
 
 
 def manifold_layer_vjp(x, saved, params, cfg, vout):
-    """Backward step for one geometric layer on a batch.
+    """Backward step for one geometric layer on a batch of (P, 3, k) columns.
 
     Takes the layer input x, the (gates, rotation coordinates) that
     network.manifold_layer_forward saved, and the cotangent vout of the
     layer output; returns the cotangent of the layer input along with the
-    parameter gradient.  The input cotangent accounts both for the
-    rotation acting on x and for the rotation's own dependence on x
-    through the gates.  Parameter gradients are summed over the batch.
+    parameter gradient, shaped like params.  The input cotangent accounts
+    for the rotation acting on x and for the rotation's own dependence on
+    x through the gates.  Parameter gradients are summed over the batch.
     """
     gate, omega = saved
-    if cfg.space == manifolds.SPHERE2:
-        g = vout[..., :, None] * x[..., None, :]
-        x_cot = np.einsum("pij,pi->pj", network.expm_skew3(omega), vout)
-    else:
-        # contiguous operands take matmul's fast path with the same sums;
-        # R^T = exp(-W) is bitwise the transpose of R = exp(W)
-        g = vout @ np.ascontiguousarray(np.swapaxes(x, -1, -2))
-        x_cot = network.expm_skew3(-omega) @ vout
+    # contiguous operands take matmul's fast path with the same sums;
+    # R^T = exp(-W) is bitwise the transpose of R = exp(W)
+    g = vout @ np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    x_cot = network.expm_skew3(-omega) @ vout
     omega_cot = rotation_cotangent(g, omega)
     f_cot = cfg.dt * (omega_cot @ cfg.generators.axials.T)
     gain_grad = np.sum(gate * f_cot, axis=0)
     z_cot = params.gains * gate * (1.0 - gate) * f_cot
     bias_grad = np.sum(z_cot, axis=0)
-    if cfg.space == manifolds.SPHERE2:
-        weight_grad = z_cot.T @ x
-        x_cot = x_cot + z_cot @ params.weights
-    else:
-        weight_grad = np.einsum("pm,pij->mij", z_cot, x)
-        x_cot = x_cot + np.einsum("pm,mij->pij", z_cot, params.weights)
+    weight_grad = np.einsum("pm,pij->mij", z_cot, x).reshape(params.weights.shape)
+    x_cot = x_cot + np.einsum("pm,mij->pij", z_cot, np.atleast_3d(params.weights))
     return x_cot, network.ManifoldLayerParams(gain_grad, weight_grad, bias_grad)
 
 

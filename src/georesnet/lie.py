@@ -41,7 +41,7 @@ class GeneratorSet:
 
     names: tuple
     axials: np.ndarray
-    kind: str = manifolds.SPHERE2
+    kind: str
 
     def __post_init__(self):
         manifolds.check_kind(self.kind)
@@ -119,8 +119,7 @@ def bracket_generating_at(gens, points, depth=2):
                             f"{shape}, got {points.shape}")
     manifolds.check_on_manifold(gens.kind, points, "point")
     hull = lie_hull(gens, depth)
-    # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3);
-    # sizes are explicit because -1 cannot be inferred for zero points
+    # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3)
+    values = skew_from_axial(hull) @ manifolds.as_columns(points)[:, None]
     d = manifolds.ambient_dim(gens.kind)
-    values = skew_from_axial(hull) @ points.reshape(len(points), 1, 3, d // 3)
     return _rank(values.reshape(len(points), len(hull), d)) == manifolds.tangent_dim(gens.kind)

@@ -37,6 +37,11 @@ def point_shape(kind):
     return (3,) if kind == SPHERE2 else (3, 3)
 
 
+def as_columns(points):
+    """A batch of points as (P, 3, k) columns, k = 1 on S2 and 3 on SO(3); P may be 0."""
+    return points.reshape(len(points), 3, math.prod(points.shape[1:]) // 3)
+
+
 def tangent_dim(kind):
     """Dimension of the tangent space: 2 for S2, 3 for SO(3)."""
     check_kind(kind)

@@ -6,16 +6,15 @@ state,
 
     x_{N+1} = exp(dt * sum_i gain_i * sigma(z_i) * B_i) x_N,
 
-with z_i the scalar pre-activation of generator i (w_i . x + b_i on the
-sphere, <W_i, X>_F + b_i on SO(3)).  Because the increment is a rotation,
-the state can never leave the manifold, whatever the parameters.  The
-baseline is the standard residual step x_{N+1} = x_N + dt * A sigma(W x_N
-+ b) on the flattened ambient state and has no such protection.
+with z_i = <W_i, x_N>_F + b_i and x_N a 3 x k column block, k = 1 on the
+sphere and 3 on SO(3).  Because the increment is a rotation, the state can
+never leave the manifold, whatever the parameters.  The baseline is the
+standard residual step x_{N+1} = x_N + dt * A sigma(W x_N + b) on the
+flattened ambient state and has no such protection.
 
 Both nets take and return batches of manifold points, (P, 3) on S2 and
-(P, 3, 3) on SO(3).  network_forward is the only function that turns points
-into the baseline's flat ambient rows and back; the layer functions take
-batches in the form their model works on.
+(P, 3, 3) on SO(3).  network_forward is the only function that turns them
+into the layers' form and back: (P, 3, k) columns or flat ambient rows.
 
 Parameters cross every function above the layers as one flat vector theta;
 only network_forward and save_checkpoint cut it up (unflatten_params).
@@ -63,7 +62,7 @@ class NetworkConfig:
 
 
 # One layer's parameters, each tuple in theta's stored order.  Geometric, per
-# generator: gains (m,), weights (m, 3) on the sphere or (m, 3, 3) on SO(3), biases (m,).
+# generator: gains (m,), weights (m,) + point shape, biases (m,).
 ManifoldLayerParams = namedtuple("ManifoldLayerParams", "gains weights biases")
 # The residual block x + dt * w_out @ sigma(w_in @ x + bias) on d flat coordinates,
 # d = manifolds.ambient_dim: w_out (d, d), w_in (d, d), bias (d,).
@@ -75,9 +74,9 @@ class ForwardTrace:
     """Everything the backward pass needs, recorded layer by layer.
 
     params holds the per-layer views of the pass's theta; states the input
-    (C-contiguous) and the M arrays the layers returned, flat rows for the
-    baseline; saved[n] the tuple layer n returned beside its output, which
-    its VJP takes back.  Layer 0 runs on states[0], so replaying states[n]
+    (C-contiguous) and the M arrays the layers returned, in the layers'
+    form; saved[n] the tuple layer n returned beside its output, which its
+    VJP takes back.  Layer 0 runs on states[0], so replaying states[n]
     through layer n reproduces states[n + 1] and saved[n] bitwise.
     """
 
@@ -109,15 +108,13 @@ def _matmul_rows(a, b):
     return a @ b
 
 
-def manifold_preactivation(x, params, space):
-    """z_i = w_i . x + b_i (sphere) or <W_i, X>_F + b_i (rotations)."""
-    if space == manifolds.SPHERE2:
-        return _matmul_rows(x, params.weights.T) + params.biases
-    return np.einsum("mij,pij->pm", params.weights, x) + params.biases
+def manifold_preactivation(x, params):
+    """z_i = <W_i, X>_F + b_i for (P, 3, k) columns X, with W_i viewed as 3 x k too."""
+    return np.einsum("mij,pij->pm", np.atleast_3d(params.weights), x) + params.biases
 
 
 def manifold_layer_forward(x, params, cfg):
-    """One geometric layer on a batch.  Returns (next states, (gate, axial)).
+    """One geometric layer on (P, 3, k) columns.  Returns (next states, (gate, axial)).
 
     The axial entry is the rotation-coordinate vector dt * sum_i gain_i *
     sigma(z_i) * axial(B_i) actually exponentiated, kept for the backward
@@ -127,15 +124,11 @@ def manifold_layer_forward(x, params, cfg):
     network_forward checks the network input once, and a rotation keeps a
     finite state on the manifold.
     """
-    gate = sigmoid(manifold_preactivation(x, params, cfg.space))
+    gate = sigmoid(manifold_preactivation(x, params))
     f = params.gains * gate
     omega = cfg.dt * _matmul_rows(f, cfg.generators.axials)
     rot = expm_skew3(omega)
-    if cfg.space == manifolds.SPHERE2:
-        out = np.einsum("pij,pj->pi", rot, x)
-    else:
-        out = rot @ x
-    return out, (gate, omega)
+    return rot @ x, (gate, omega)
 
 
 def classical_layer_forward(x, params, cfg):
@@ -160,9 +153,9 @@ def network_forward(x0, theta, cfg):
     manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
     only manifold check on the way through the layers.
 
-    The baseline works on flat ambient rows, one point's entries each: the
-    batch is flattened here on entry, the trace records the flat states,
-    and the output is reshaped back to points on exit.
+    The layers take the batch in their own form, made here on entry: 3 x k
+    columns (manifolds.as_columns) or flat ambient rows.  The trace records
+    that form, and the output is reshaped back to points on exit.
     """
     params = unflatten_params(theta, cfg)
     shape = manifolds.point_shape(cfg.space)
@@ -172,10 +165,9 @@ def network_forward(x0, theta, cfg):
                             f"{shape}, got {x.shape}")
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
-        layer_forward = manifold_layer_forward
+        x, layer_forward = manifolds.as_columns(x), manifold_layer_forward
     else:
-        x = x.reshape(len(x), math.prod(shape))
-        layer_forward = classical_layer_forward
+        x, layer_forward = x.reshape(len(x), math.prod(shape)), classical_layer_forward
     x = np.ascontiguousarray(x)  # the layers round a row as in a C-ordered batch
     trace = ForwardTrace(cfg, params, [x], [])
     for n in range(cfg.layers):
@@ -257,9 +249,10 @@ def load_checkpoint(path):
     """Read a checkpoint back as (config, theta, meta).
 
     Raises InvalidConfig naming the file unless it holds model, space and
-    layers that make a NetworkConfig, and params, a list of one object per
-    layer, each holding every field of the layer schema, numeric, at its
-    shape, all finite.
+    layers that make a NetworkConfig, the config's generator names if the
+    model is geometric, and params, a list of one object per layer, each
+    holding every field of the layer schema, numeric, at its shape, all
+    finite.
     """
     return read_json_object(path, _checkpoint)
 
@@ -267,6 +260,9 @@ def load_checkpoint(path):
 def _checkpoint(doc):
     check_keys(doc, "checkpoint", required=("model", "space", "layers", "params"))
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
+    if cfg.model == MANIFOLD and doc.get("generators") != list(cfg.generators.names):
+        raise InvalidConfig(f"generators must be {list(cfg.generators.names)}, "
+                            f"got {doc.get('generators')!r}")
     entries = doc["params"]
     if not (isinstance(entries, list) and len(entries) == cfg.layers
             and all(isinstance(e, dict) for e in entries)):

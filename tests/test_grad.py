@@ -101,9 +101,10 @@ def test_mixed_batch_rotation_cotangent_equals_each_row_alone():
 def test_manifold_vjp_zero_upstream_gives_zero_gradients():
     cfg, theta, x, _ = random_problem(network.MANIFOLD, manifolds.SPHERE2, 1, 4, 4)
     _, trace = network.network_forward(x, theta, cfg)
+    zero = manifolds.as_columns(np.zeros_like(x))
     x_cot, g = grad.manifold_layer_vjp(trace.states[0], trace.saved[0], trace.params[0], cfg,
-                                       np.zeros_like(x))
-    assert np.array_equal(x_cot, np.zeros_like(x))
+                                       zero)
+    assert np.array_equal(x_cot, zero)
     assert np.array_equal(g.gains, np.zeros(2))
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
@@ -120,10 +121,11 @@ def test_manifold_vjp_at_zero_gains():
         biases=rng.standard_normal(2))
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
     v = rng.standard_normal((1, 3))
-    out, saved = network.manifold_layer_forward(x, params, cfg)
+    out, saved = network.manifold_layer_forward(manifolds.as_columns(x), params, cfg)
     gate = saved[0]
-    x_cot, g = grad.manifold_layer_vjp(x, saved, params, cfg, v)
-    assert np.allclose(x_cot, v, atol=1e-15)
+    x_cot, g = grad.manifold_layer_vjp(manifolds.as_columns(x), saved, params, cfg,
+                                       manifolds.as_columns(v))
+    assert np.allclose(x_cot, manifolds.as_columns(v), atol=1e-15)
     assert np.array_equal(g.weights, np.zeros((2, 3)))
     assert np.array_equal(g.biases, np.zeros(2))
     for i, b in enumerate(skew_from_axial(cfg.generators.axials)):
@@ -205,11 +207,12 @@ def preactivations(gates, count):
 
 
 def manifold_layer_at(space, z, rng):
-    """A point x, and layer weights and biases that put its gate pre-activations at z."""
-    x = manifolds.sample_uniform(space, rng, 1)
+    """A point x, as the layers take it, and layer weights and biases that put its gate
+    pre-activations at z."""
+    x = manifolds.as_columns(manifolds.sample_uniform(space, rng, 1))
     weights = rng.uniform(-1.0, 1.0, (len(z),) + manifolds.point_shape(space))
     biases = z - network.manifold_preactivation(
-        x, network.ManifoldLayerParams(None, weights, np.zeros(len(z))), space)[0]
+        x, network.ManifoldLayerParams(None, weights, np.zeros(len(z))))[0]
     return x, weights, biases
 
 

@@ -10,7 +10,9 @@ import rule, since its imports are re-exports.  Every *Config and *Spec
 dataclass of the package calls errors.check_fields in its __post_init__,
 so its fields are typed by their annotations, by one rule.  Only errors
 calls json.load or json.loads, so every input file is read through
-errors.read_json_object, which names the file in every error.
+errors.read_json_object, which names the file in every error.  The
+geometric layer functions never ask which space they run on: one layer
+serves S2 and SO(3), since network_forward hands them 3 x k columns.
 """
 
 import ast
@@ -141,3 +143,33 @@ def test_only_errors_parses_json():
     found = {path.name: json_parses(path.read_text()) for path in PACKAGE}
     assert found.pop("errors.py") == ["json.load"]
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+GEOMETRIC_LAYER = {"network.py": ["manifold_preactivation", "manifold_layer_forward"],
+                   "grad.py": ["manifold_layer_vjp"]}
+
+
+def space_reads(source, functions):
+    """{function: what of the space it reads}, for the named module-level functions of
+    source: each .space attribute and each SPHERE2 or SO3, bare or as an attribute."""
+    spaces = ("SPHERE2", "SO3")
+    return {node.name: [ast.unparse(ref) for ref in ast.walk(node)
+                        if isinstance(ref, ast.Attribute) and ref.attr in ("space", *spaces)
+                        or isinstance(ref, ast.Name) and ref.id in spaces]
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in functions}
+
+
+def test_space_reads_finds_every_space_branch_and_nothing_else():
+    source = ("def layer(x, cfg):\n    if cfg.space == manifolds.SPHERE2:\n        return x\n"
+              "    return SO3, space, cfg.spaces\n\n\n"
+              "def other(cfg):\n    return cfg.space\n\n\n"
+              "def clean(x, cfg):\n    return x @ cfg.dt\n")
+    assert space_reads(source, ["layer", "clean"]) == {
+        "layer": ["cfg.space", "manifolds.SPHERE2", "SO3"], "clean": []}
+
+
+def test_the_geometric_layer_functions_do_not_branch_on_the_space():
+    for name, functions in GEOMETRIC_LAYER.items():
+        source = (ROOT / "src" / "georesnet" / name).read_text()
+        assert space_reads(source, functions) == {function: [] for function in functions}

@@ -89,7 +89,7 @@ def test_zero_gains_leave_the_state_alone():
     params = network.ManifoldLayerParams(
         gains=np.zeros(2), weights=rng.standard_normal((2, 3)),
         biases=rng.standard_normal(2))
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
+    x = manifolds.as_columns(manifolds.sample_uniform(manifolds.SPHERE2, rng, 1))
     out, _ = network.manifold_layer_forward(x, params, cfg)
     assert np.array_equal(out, x)
 
@@ -102,8 +102,9 @@ def test_constant_gate_layer_rotates_by_the_expected_angle():
     params = network.ManifoldLayerParams(
         gains=np.array([np.pi / (2.0 * cfg.dt * network.sigmoid(b)), 0.0]),
         weights=np.zeros((2, 3)), biases=np.array([b, 0.0]))
-    out, (gate, omega) = network.manifold_layer_forward(E1[None], params, cfg)
-    assert np.allclose(out, [[0.0, 1.0, 0.0]], atol=1e-14)
+    x = manifolds.as_columns(E1[None])
+    out, (gate, omega) = network.manifold_layer_forward(x, params, cfg)
+    assert np.allclose(out, manifolds.as_columns(np.array([[0.0, 1.0, 0.0]])), atol=1e-14)
     assert np.allclose(omega, [[0.0, 0.0, np.pi / 2]], atol=1e-14)
     assert gate[0, 0] == network.sigmoid(b)
 
@@ -197,9 +198,9 @@ def test_layer_commutes_with_rotations_about_its_own_axis():
         biases=np.array([0.4, -0.2]))
     rot = expm_skew3([0.0, 0.0, 0.77])
     rng = np.random.default_rng(6)
-    x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 1)
-    layer_then_rot = network.manifold_layer_forward(x, params, cfg)[0] @ rot.T
-    rot_then_layer = network.manifold_layer_forward(x @ rot.T, params, cfg)[0]
+    x = manifolds.as_columns(manifolds.sample_uniform(manifolds.SPHERE2, rng, 1))
+    layer_then_rot = rot @ network.manifold_layer_forward(x, params, cfg)[0]
+    rot_then_layer = network.manifold_layer_forward(rot @ x, params, cfg)[0]
     assert np.max(np.abs(layer_then_rot - rot_then_layer)) <= 1e-12
 
 
@@ -246,8 +247,9 @@ def test_single_layer_network_equals_the_layer():
     theta = network.init_params(cfg, rng)
     x = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
     net_out, _ = network.network_forward(x, theta, cfg)
-    layer_out, _ = network.manifold_layer_forward(x, network.unflatten_params(theta, cfg)[0], cfg)
-    assert np.array_equal(net_out, layer_out)
+    layer_out, _ = network.manifold_layer_forward(manifolds.as_columns(x),
+                                                  network.unflatten_params(theta, cfg)[0], cfg)
+    assert np.array_equal(manifolds.as_columns(net_out), layer_out)
 
 
 def test_forward_rejects_a_lone_state():
@@ -472,6 +474,21 @@ def test_load_checkpoint_rejects_a_missing_field_or_a_wrong_shape(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidConfig):
             network.load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_other_generator_names_naming_the_file(tmp_path):
+    # the layers run cfg.generators; a checkpoint that names another set is not theirs
+    for cfg in (sphere_cfg(1), so3_cfg(1)):
+        for generators in (["rot_x", "rot_q"], ["rot_y", "rot_z", "rot_x"], None):
+            path, doc = saved_checkpoint(tmp_path, cfg)
+            doc["generators"] = generators
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidConfig, match=re.escape(f"{path}: generators must be")):
+                network.load_checkpoint(path)
+    # the baseline has no generators, and a saved one has none to check
+    path, doc = saved_checkpoint(tmp_path, sphere_cfg(1, network.CLASSICAL))
+    assert "generators" not in doc
+    assert network.load_checkpoint(path)[0] == sphere_cfg(1, network.CLASSICAL)
 
 
 @pytest.mark.parametrize("edit", [
