@@ -183,8 +183,8 @@ def _suite_integrator(rng):
                                - linalg.expm_skew3((linalg.SMALL_ANGLE + eps) * axis))))
     checks = [("Rodrigues vs dense exponential (1000 samples)", worst, 1e-12),
               ("jump across the series branch", jump, 1e-12)]
-    starts = (np.array([0.0, 1.0, 0.0]),
-              manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(7)))
+    starts = (np.array([[0.0, 1.0, 0.0]]),
+              manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(7), 1))
     for ode, x0 in zip((data.EXP1, data.EXP2), starts):
         ref = data.ground_truth_flow(x0, ode, steps=2 ** 14)
         err_c = np.linalg.norm(data.ground_truth_flow(x0, ode, steps=2 ** 10) - ref)

@@ -75,12 +75,12 @@ def ground_truth_flow(x0, ode, steps=DEFAULT_STEPS):
     At each step the field's coefficients are evaluated once at the
     current state and the state advances by the exact exponential of the
     frozen field over one step length.  First-order accurate in time,
-    exactly manifold-preserving at any step count.  Batched over a
-    leading axis.
+    exactly manifold-preserving at any step count.  x0 is a batch of
+    ode.kind points (manifolds.as_batch), and so is the result.
     """
     if steps < 1:
         raise InvalidConfig("steps must be at least 1")
-    x = np.ascontiguousarray(x0, dtype=float)  # a step rounds as for C-ordered states
+    x = manifolds.as_batch(ode.kind, x0, "initial states")  # a step rounds as for C order
     manifolds.check_on_manifold(ode.kind, x, "initial")
     h = 1.0 / steps
     sphere = ode.kind == manifolds.SPHERE2
@@ -166,7 +166,7 @@ def load_dataset(path):
 
 
 def _dataset(doc):
-    check_keys(doc, "dataset", required=("kind", "metadata", "inputs", "targets"))
+    check_keys(doc, "dataset", ("kind", "metadata", "inputs", "targets"))
     kind = manifolds.check_kind(doc["kind"])
     shape = (None,) + manifolds.point_shape(kind)
     inputs, targets = (numeric_array(doc[name], name, shape) for name in ("inputs", "targets"))

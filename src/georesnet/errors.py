@@ -54,12 +54,12 @@ def read_json_object(path, build):
         raise type(err)(f"{path}: {err}") from None
 
 
-def check_keys(doc, what, known=None, required=()):
-    """InvalidConfig naming what if doc has a key outside known, or lacks a required one."""
-    unknown = [] if known is None else sorted(set(doc) - set(known))
+def check_keys(doc, what, known, optional=()):
+    """InvalidConfig naming what if doc has a key outside known, or lacks one not optional."""
+    unknown = sorted(set(doc) - set(known))
     if unknown:
         raise InvalidConfig(f"unknown {what} keys: {unknown}")
-    missing = [key for key in required if key not in doc]
+    missing = [key for key in known if key not in doc and key not in optional]
     if missing:
         raise InvalidConfig(f"{what} lacks {missing}")
 
@@ -68,8 +68,8 @@ def from_dict(cls, doc, what):
     """cls(**doc) for a dataclass cls; InvalidConfig naming what if doc holds a
     key that is not a field of cls, or lacks a field that has no default."""
     fields = dataclasses.fields(cls)
-    check_keys(doc, what, known=[f.name for f in fields], required=[
-        f.name for f in fields if dataclasses.MISSING is f.default is f.default_factory])
+    check_keys(doc, what, [f.name for f in fields], optional=[
+        f.name for f in fields if not (dataclasses.MISSING is f.default is f.default_factory)])
     return cls(**doc)
 
 

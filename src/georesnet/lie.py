@@ -112,11 +112,7 @@ def bracket_generating_at(gens, points, depth=2):
     tangent dimension.  An empty hull (all generators zero) spans nothing,
     and an empty batch gets no verdicts.
     """
-    points = np.asarray(points, dtype=float)
-    shape = manifolds.point_shape(gens.kind)
-    if points.shape[1:] != shape:
-        raise InvalidConfig(f"points must be a batch of {gens.kind} points, shape (P,) + "
-                            f"{shape}, got {points.shape}")
+    points = manifolds.as_batch(gens.kind, points, "points")
     manifolds.check_on_manifold(gens.kind, points, "point")
     hull = lie_hull(gens, depth)
     # (h, 3, 3) @ (P, 1, 3, k): field h at point p, k = 1 on S2 and 3 on SO(3)

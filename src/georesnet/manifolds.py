@@ -1,9 +1,9 @@
 """The two embedded manifolds: the unit sphere S2 and the rotation group SO(3).
 
 A manifold point is a plain ndarray tagged by a kind string: shape (3,) unit
-vectors for SPHERE2, shape (3, 3) rotation matrices for SO3.  Batches stack
-along a leading axis.  Functions that need to know the manifold take the
-kind as their first argument because a (3, 3) array is ambiguous on its own.
+vectors for SPHERE2, shape (3, 3) rotation matrices for SO3.  Points come in
+batches along a leading axis, which as_batch checks.  Functions that need the
+kind take it first, because a (3, 3) array is ambiguous on its own.
 """
 
 import math
@@ -35,6 +35,15 @@ def point_shape(kind):
     """Shape of one point: (3,) on S2, (3, 3) on SO(3)."""
     check_kind(kind)
     return (3,) if kind == SPHERE2 else (3, 3)
+
+
+def as_batch(kind, points, what):
+    """points as a C-ordered float batch, (P,) + point_shape(kind), copied only if not one."""
+    points = np.asarray(points, dtype=float, order="C")  # a scalar stays 0-d
+    if points.shape[1:] != point_shape(kind):
+        raise InvalidConfig(f"{what} must be a batch of {kind} points, shape (P,) + "
+                            f"{point_shape(kind)}, got {points.shape}")
+    return points
 
 
 def as_columns(points):
@@ -97,18 +106,13 @@ def _unit_gaussian(rng, n, d):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def sample_uniform(kind, rng, size=None):
-    """Uniformly distributed manifold points.
+def sample_uniform(kind, rng, size):
+    """A batch of size uniform points of kind, the same for the same rng state.
 
-    S2 draws a standard 3-d Gaussian and normalizes; SO(3) draws a Haar
-    rotation through a uniform unit quaternion (normalized 4-d Gaussian).
-    ``size=None`` returns a single point, an integer returns a batch with
-    that leading dimension.  Streams are deterministic per rng state.
+    S2 normalizes a standard 3-d Gaussian; SO(3) takes the Haar rotation of a
+    uniform unit quaternion, a normalized 4-d Gaussian.
     """
     check_kind(kind)
-    n = 1 if size is None else int(size)
     if kind == SPHERE2:
-        out = _unit_gaussian(rng, n, 3)
-    else:
-        out = _quat_to_matrix(_unit_gaussian(rng, n, 4))
-    return out[0] if size is None else out
+        return _unit_gaussian(rng, size, 3)
+    return _quat_to_matrix(_unit_gaussian(rng, size, 4))

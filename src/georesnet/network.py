@@ -145,36 +145,32 @@ def classical_layer_forward(x, params, cfg):
 def network_forward(x0, theta, cfg):
     """Compose all layers, recording a full trace.
 
-    x0 is a batch of manifold points, for either model; a lone point
-    raises InvalidConfig, since the loss would read its coordinates as
-    samples.  theta, of cfg's size, is cut into the per-layer views that
-    the trace keeps.  The output has the shape of x0 and may share memory
-    with trace.states[-1].  Geometric inputs whose defect exceeds
-    manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is the
-    only manifold check on the way through the layers.
+    x0 is a batch of manifold points for either model (manifolds.as_batch);
+    a lone point raises InvalidConfig, since the loss would read its
+    coordinates as samples.  theta, of cfg's size, is cut into the per-layer
+    views that the trace keeps.  The output has the shape of x0 and may
+    share memory with trace.states[-1].  Geometric inputs whose defect
+    exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is
+    the only manifold check on the way through the layers.
 
     The layers take the batch in their own form, made here on entry: 3 x k
     columns (manifolds.as_columns) or flat ambient rows.  The trace records
     that form, and the output is reshaped back to points on exit.
     """
     params = unflatten_params(theta, cfg)
-    shape = manifolds.point_shape(cfg.space)
-    x = np.asarray(x0, dtype=float)
-    if x.shape[1:] != shape:
-        raise InvalidConfig(f"inputs must be a batch of {cfg.space} points, shape (P,) + "
-                            f"{shape}, got {x.shape}")
+    x = manifolds.as_batch(cfg.space, x0, "inputs")  # the layers round a row as in C order
     if cfg.model == MANIFOLD:
         manifolds.check_on_manifold(cfg.space, x, "network input")
         x, layer_forward = manifolds.as_columns(x), manifold_layer_forward
     else:
-        x, layer_forward = x.reshape(len(x), math.prod(shape)), classical_layer_forward
-    x = np.ascontiguousarray(x)  # the layers round a row as in a C-ordered batch
+        x = x.reshape(len(x), manifolds.ambient_dim(cfg.space))
+        layer_forward = classical_layer_forward
     trace = ForwardTrace(cfg, params, [x], [])
     for n in range(cfg.layers):
         x, saved = layer_forward(x, params[n], cfg)
         trace.states.append(x)
         trace.saved.append(saved)
-    return x.reshape((len(x),) + shape), trace
+    return x.reshape((len(x),) + manifolds.point_shape(cfg.space)), trace
 
 
 def layer_schema(cfg):
@@ -251,14 +247,15 @@ def load_checkpoint(path):
     Raises InvalidConfig naming the file unless it holds model, space and
     layers that make a NetworkConfig, the config's generator names if the
     model is geometric, and params, a list of one object per layer, each
-    holding every field of the layer schema, numeric, at its shape, all
-    finite.
+    holding exactly the fields of the layer schema, numeric, at their
+    shapes, all finite.  meta may be left out; any other key is refused.
     """
     return read_json_object(path, _checkpoint)
 
 
 def _checkpoint(doc):
-    check_keys(doc, "checkpoint", required=("model", "space", "layers", "params"))
+    check_keys(doc, "checkpoint", ("model", "space", "layers", "params", "generators", "meta"),
+               optional=("generators", "meta"))
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
     if cfg.model == MANIFOLD and doc.get("generators") != list(cfg.generators.names):
         raise InvalidConfig(f"generators must be {list(cfg.generators.names)}, "
@@ -268,7 +265,9 @@ def _checkpoint(doc):
             and all(isinstance(e, dict) for e in entries)):
         raise InvalidConfig(f"params must be a list of {cfg.layers} objects, one per layer")
     cls, schema, _ = layer_schema(cfg)
-    params = [cls(*(numeric_array(entry.get(name, ()), f"layer {n}: {name!r}", shape)
-                    for name, shape in schema))
-              for n, entry in enumerate(entries)]
+    params = []
+    for n, entry in enumerate(entries):
+        check_keys(entry, f"layer {n}", cls._fields)
+        params.append(cls(*(numeric_array(entry[name], f"layer {n}: {name!r}", shape)
+                            for name, shape in schema)))
     return cfg, flatten_params(params), doc.get("meta", {})

@@ -149,22 +149,36 @@ def test_ode_lookup_is_case_insensitive():
 # --- integrator -------------------------------------------------------------
 
 def test_flow_fixes_the_equilibrium_exactly():
-    out = data.ground_truth_flow(E1, data.EXP1, steps=16)
-    assert np.array_equal(out, E1)
+    out = data.ground_truth_flow(E1[None], data.EXP1, steps=16)
+    assert np.array_equal(out, E1[None])
 
 
 def test_flow_rejects_bad_arguments():
     with pytest.raises(InvalidConfig):
-        data.ground_truth_flow(E2, data.EXP1, steps=0)
+        data.ground_truth_flow(E2[None], data.EXP1, steps=0)
     with pytest.raises(OffManifold):
-        data.ground_truth_flow(2.0 * E2, data.EXP1, steps=16)
+        data.ground_truth_flow(2.0 * E2[None], data.EXP1, steps=16)
     with pytest.raises(OffManifold):
-        data.ground_truth_flow(np.eye(3) + 0.1, data.EXP2, steps=16)
+        data.ground_truth_flow((np.eye(3) + 0.1)[None], data.EXP2, steps=16)
+
+
+def test_flow_takes_only_a_batch_of_its_own_points():
+    # a (3, 3) array is three sphere points or one rotation; only the ODE's kind decides
+    rng = np.random.default_rng(5)
+    spheres = manifolds.sample_uniform(manifolds.SPHERE2, rng, 4)
+    rotations = manifolds.sample_uniform(manifolds.SO3, rng, 4)
+    for x0, ode in ((rotations, data.EXP1), (spheres, data.EXP2),
+                    (spheres[0], data.EXP1), (rotations[0], data.EXP2)):
+        shape = manifolds.point_shape(ode.kind)
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"initial states must be a batch of {ode.kind} points, shape (P,) + {shape}, "
+                f"got {x0.shape}")):
+            data.ground_truth_flow(x0, ode, steps=4)
 
 
 def test_flow_rejects_non_finite_states():
     with pytest.raises(OffManifold):
-        data.ground_truth_flow(np.array([np.nan, 0.0, 1.0]), data.EXP1, steps=4)
+        data.ground_truth_flow(np.array([[np.nan, 0.0, 1.0]]), data.EXP1, steps=4)
     bad = manifolds.sample_uniform(manifolds.SO3, np.random.default_rng(0), 3)
     bad[1, 0, 0] = np.nan
     with pytest.raises(OffManifold):
@@ -172,12 +186,11 @@ def test_flow_rejects_non_finite_states():
 
 
 @pytest.mark.parametrize("experiment", ["exp1", "exp2"])
-@pytest.mark.parametrize("rows,steps", [(None, 1), (None, 64), (1, 1), (1, 64), (3, 1),
-                                        (3, 64), (200, 1), (200, 64), (200, 2 ** 14)])
+@pytest.mark.parametrize("rows,steps", [(1, 1), (1, 64), (3, 1), (3, 64), (200, 1), (200, 64),
+                                        (200, 2 ** 14)])
 def test_flow_is_bitwise_the_general_step(experiment, rows, steps):
     ode = data.ode_by_id(experiment)
-    x = manifolds.sample_uniform(ode.kind, np.random.default_rng(steps), rows or 1)
-    x = x if rows else x[0]
+    x = manifolds.sample_uniform(ode.kind, np.random.default_rng(steps), rows)
     assert_bitwise(data.ground_truth_flow(x, ode, steps), general_flow(x, ode, steps))
 
 
@@ -214,14 +227,14 @@ def test_flow_stays_on_the_manifold_at_any_step_count():
 def test_flow_matches_the_closed_form_orbit_through_e2():
     # from (0,1,0) the sphere ODE reduces to x1' = -x2^2, x2' = x1 x2 on
     # the z = 0 great circle, solved by (-tanh t, sech t, 0)
-    out = data.ground_truth_flow(E2, data.EXP1)
+    out = data.ground_truth_flow(E2[None], data.EXP1)[0]
     analytic = np.array([-math.tanh(1.0), 1.0 / math.cosh(1.0), 0.0])
     assert np.linalg.norm(out - analytic) <= 2e-5
     assert out[2] == 0.0
 
 
 def test_flow_error_halves_when_steps_double():
-    outs = {k: data.ground_truth_flow(E2, data.EXP1, 2 ** k)
+    outs = {k: data.ground_truth_flow(E2[None], data.EXP1, 2 ** k)
             for k in (10, 11, 13, 14)}
     coarse = np.linalg.norm(outs[10] - outs[11])
     fine = np.linalg.norm(outs[13] - outs[14])
@@ -233,7 +246,7 @@ def test_flow_error_halves_when_steps_double():
 
 def test_rotation_flow_error_halves_when_steps_double():
     axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
-    x0 = expm_skew3(0.9 * axis)
+    x0 = expm_skew3(0.9 * axis)[None]
     outs = {k: data.ground_truth_flow(x0, data.EXP2, 2 ** k)
             for k in (12, 13, 14)}
     gap_c = np.linalg.norm(outs[12] - outs[13])
@@ -360,6 +373,13 @@ def test_load_dataset_rejects_missing_keys(tmp_path):
         path, doc = saved_dataset(tmp_path, "exp2")
         del doc[key]
         rejects(path, doc)
+
+
+def test_load_dataset_rejects_an_unknown_key_naming_the_file(tmp_path):
+    # a misspelled key would otherwise be dropped without a word
+    path, doc = saved_dataset(tmp_path, "exp1")
+    rejects(path, dict(doc, targetz=doc["targets"]),
+            match=re.escape(f"{path}: unknown dataset keys: ['targetz']"))
 
 
 def test_load_dataset_rejects_non_finite_values(tmp_path):

@@ -12,7 +12,9 @@ so its fields are typed by their annotations, by one rule.  Only errors
 calls json.load or json.loads, so every input file is read through
 errors.read_json_object, which names the file in every error.  The
 geometric layer functions never ask which space they run on: one layer
-serves S2 and SO(3), since network_forward hands them 3 x k columns.
+serves S2 and SO(3), since network_forward hands them 3 x k columns.  Only
+manifolds compares an array's shape past its first axis with a point shape,
+in as_batch, so every entry point checks a batch of points by one rule.
 """
 
 import ast
@@ -173,3 +175,28 @@ def test_the_geometric_layer_functions_do_not_branch_on_the_space():
     for name, functions in GEOMETRIC_LAYER.items():
         source = (ROOT / "src" / "georesnet" / name).read_text()
         assert space_reads(source, functions) == {function: [] for function in functions}
+
+
+def batch_shape_checks(source):
+    """The comparisons in source, as spelled there, with an operand x.shape[1:]: the
+    shape of a batch past its first axis."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Subscript) and isinstance(side.value, ast.Attribute)
+                and side.value.attr == "shape" and ast.unparse(side.slice) == "1:"
+                for side in (node.left, *node.comparators))]
+
+
+def test_batch_shape_checks_finds_every_batch_shape_comparison_and_nothing_else():
+    source = ("if x.shape[1:] != shape:\n    pass\n"
+              "ok = (3, 3) == np.asarray(y).shape[1:]\n"
+              "y = x.reshape(len(x), math.prod(x.shape[1:]))\n"
+              "no = x.shape[0] != 3 or x.shape != (3,) or x.shape[2:] == () or x.s[1:] == ()\n")
+    assert batch_shape_checks(source) == ["x.shape[1:] != shape",
+                                          "(3, 3) == np.asarray(y).shape[1:]"]
+
+
+def test_only_manifolds_checks_the_shape_of_a_point_batch():
+    found = {path.name: batch_shape_checks(path.read_text()) for path in PACKAGE}
+    assert found.pop("manifolds.py") == ["points.shape[1:] != point_shape(kind)"]
+    assert {name: checks for name, checks in found.items() if checks} == {}

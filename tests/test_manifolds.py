@@ -1,4 +1,6 @@
-"""Sphere and rotation-group representations: sampling and defect."""
+"""Sphere and rotation-group representations: batches, sampling and defect."""
+
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,30 @@ def test_kind_validation():
     assert manifolds.ambient_dim(manifolds.SO3) == 9
     assert manifolds.tangent_dim(manifolds.SPHERE2) == 2
     assert manifolds.tangent_dim(manifolds.SO3) == 3
+
+
+# --- as_batch ---------------------------------------------------------------
+
+def test_as_batch_returns_a_c_ordered_float_batch_itself():
+    for kind in manifolds.KINDS:
+        x = manifolds.sample_uniform(kind, np.random.default_rng(4), 5)
+        assert manifolds.as_batch(kind, x, "x") is x
+        for other in (np.asfortranarray(x), x[::-1], x.tolist()):
+            out = manifolds.as_batch(kind, other, "x")
+            assert out.flags.c_contiguous and out.dtype == float
+            assert np.array_equal(out, np.asarray(other))
+        empty = np.empty((0,) + manifolds.point_shape(kind))
+        assert manifolds.as_batch(kind, empty, "x") is empty
+
+
+def test_as_batch_refuses_a_lone_point_and_the_other_kind_naming_the_input():
+    sphere, rotation = manifolds.SPHERE2, manifolds.SO3
+    for kind, x in ((sphere, E1), (sphere, np.zeros((2, 3, 3))), (sphere, np.zeros((2, 4))),
+                    (rotation, np.eye(3)), (rotation, np.zeros((2, 3))), (rotation, 1.0)):
+        message = (f"states must be a batch of {kind} points, shape (P,) + "
+                   f"{manifolds.point_shape(kind)}, got {np.shape(x)}")
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            manifolds.as_batch(kind, x, "states")
 
 
 # --- defect -----------------------------------------------------------------
@@ -62,10 +88,11 @@ def test_samples_land_on_the_manifold():
     assert np.max(manifolds.defect(manifolds.SO3, rs)) <= 1e-14
 
 
-def test_single_sample_shape():
-    rng = np.random.default_rng(1)
-    assert manifolds.sample_uniform(manifolds.SPHERE2, rng).shape == (3,)
-    assert manifolds.sample_uniform(manifolds.SO3, rng).shape == (3, 3)
+def test_a_batch_of_one_sample_is_the_first_of_a_larger_batch():
+    for kind in manifolds.KINDS:
+        one = manifolds.sample_uniform(kind, np.random.default_rng(1), 1)
+        assert one.shape == (1,) + manifolds.point_shape(kind)
+        assert np.array_equal(one, manifolds.sample_uniform(kind, np.random.default_rng(1), 5)[:1])
 
 
 def test_sphere_sampling_has_no_preferred_direction():

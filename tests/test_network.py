@@ -476,6 +476,28 @@ def test_load_checkpoint_rejects_a_missing_field_or_a_wrong_shape(tmp_path):
             network.load_checkpoint(path)
 
 
+def test_load_checkpoint_refuses_an_unknown_key_or_a_missing_field_naming_the_file(tmp_path):
+    # a misspelled key would otherwise be dropped, or reported as a field of shape (0,)
+    for cfg in (sphere_cfg(2), so3_cfg(2, network.CLASSICAL)):
+        first, *_, last = STORED_FIELDS[cfg.model]
+        for edit, message in (
+                (lambda doc: doc.update(mta=doc.pop("meta")), "unknown checkpoint keys: ['mta']"),
+                (lambda doc: doc["params"][1].update(note=1), "unknown layer 1 keys: ['note']"),
+                (lambda doc: doc["params"][0].update({first + "x": doc["params"][0].pop(first)}),
+                 f"unknown layer 0 keys: ['{first}x']"),
+                (lambda doc: doc["params"][1].pop(last), f"layer 1 lacks ['{last}']")):
+            path, doc = saved_checkpoint(tmp_path, cfg)
+            edit(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidConfig, match=re.escape(f"{path}: {message}")):
+                network.load_checkpoint(path)
+        # meta may be left out
+        path, doc = saved_checkpoint(tmp_path, cfg)
+        del doc["meta"]
+        path.write_text(json.dumps(doc))
+        assert network.load_checkpoint(path)[2] == {}
+
+
 def test_load_checkpoint_refuses_other_generator_names_naming_the_file(tmp_path):
     # the layers run cfg.generators; a checkpoint that names another set is not theirs
     for cfg in (sphere_cfg(1), so3_cfg(1)):
