@@ -2,8 +2,9 @@
 
 gen-data, train and sweep take --seed, --config and --out; --config names
 a JSON file whose keys override the defaults documented per subcommand
-(for sweep, a whole sweep spec).  The effective configuration is echoed
-into each output directory's meta.json so results are self-describing.
+(for sweep, a whole sweep spec).  train reads its two datasets from --data,
+a gen-data directory.  The effective configuration is echoed into each
+output directory's meta.json so results are self-describing.
 check takes --seed and an optional --out; its suites are acceptance
 criteria 1-5.  Exit codes: 0 success, 1 failed checks, 2 usage errors, 3
 training divergence (partial metrics are still written).
@@ -64,31 +65,22 @@ def cmd_gen_data(args):
     return 0
 
 
-def _load_datasets(args, experiment):
-    if args.data:
-        train_ds = data.load_dataset(os.path.join(args.data, "train.json"))
-        test_ds = data.load_dataset(os.path.join(args.data, "test.json"))
-        return train_ds, test_ds, {"source": args.data}
-    train_ds, test_ds = data.generate_dataset(experiment, data.DEFAULT_PAIRS, data.DEFAULT_PAIRS,
-                                              args.data_seed)
-    return train_ds, test_ds, {"source": "generated", "data_seed": args.data_seed}
-
-
 def cmd_train(args):
-    """Train one model.  Config keys: any TrainConfig field."""
+    """Train one model on the gen-data directory --data.  Config keys: any TrainConfig field."""
     ode = data.ode_by_id(args.experiment)
     net_cfg = network.NetworkConfig(args.model, ode.kind, args.layers)
     cfg = _read_config(args.config, train.TrainConfig, "config")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    train_ds, test_ds, data_meta = _load_datasets(args, ode.id)
+    train_ds, test_ds = (data.load_dataset(os.path.join(args.data, f"{role}.json"))
+                         for role in ("train", "test"))
     metrics, status, mean_defect, test_mse = train.run(train_ds, test_ds, net_cfg, cfg, args.out)
     if status == "diverged":
         print(f"diverged: non-finite loss at epoch {len(metrics)}", file=sys.stderr)
     write_json(os.path.join(args.out, "meta.json"), {
         "command": "train", "experiment": ode.id, "model": args.model,
         "layers": args.layers, "param_count": network.param_count(net_cfg),
-        "train_config": dataclasses.asdict(cfg), "data": data_meta,
+        "train_config": dataclasses.asdict(cfg), "data": {"source": args.data},
         "checkpoint": "checkpoint.json", "status": status,
         "epochs_recorded": len(metrics), "wall_time_s": round(metrics.wall_time, 3),
         "final_mean_test_defect": mean_defect,
@@ -255,11 +247,7 @@ def build_parser():
     p.add_argument("--model", required=True, choices=list(network.MODELS))
     p.add_argument("--experiment", required=True)
     p.add_argument("--layers", type=int, required=True)
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--data", default=None, help="directory with train.json/test.json")
-    # a string default is parsed like a flag, so "--data-seed 0" beside --data is still refused
-    source.add_argument("--data-seed", type=int, default="0",
-                        help="seed for on-the-fly data when --data is absent (default 0)")
+    p.add_argument("--data", required=True, help="gen-data directory with train.json/test.json")
     p.add_argument("--seed", type=int, default=None, help="training seed override")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

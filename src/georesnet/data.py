@@ -158,9 +158,10 @@ def save_dataset(ds, path):
 def load_dataset(path):
     """Read a dataset written by save_dataset.
 
-    Raises InvalidConfig naming the file unless it holds kind, metadata, inputs
-    and targets, as many targets as inputs, each of the kind's point shape and
-    finite, and OffManifold naming it if a point is off the manifold.
+    Raises InvalidConfig naming the file unless it holds kind, metadata (an
+    object), inputs and targets, as many targets as inputs, each of the kind's
+    point shape and finite, and OffManifold naming it if a point is off the
+    manifold.
     """
     return read_json_object(path, _dataset)
 
@@ -168,12 +169,15 @@ def load_dataset(path):
 def _dataset(doc):
     check_keys(doc, "dataset", ("kind", "metadata", "inputs", "targets"))
     kind = manifolds.check_kind(doc["kind"])
+    metadata = doc["metadata"]
+    if not isinstance(metadata, dict):
+        raise InvalidConfig(f"metadata must be a JSON object, got {type(metadata).__name__}")
     shape = (None,) + manifolds.point_shape(kind)
     inputs, targets = (numeric_array(doc[name], name, shape) for name in ("inputs", "targets"))
     if len(inputs) != len(targets):
         raise InvalidConfig(f"dataset has {len(inputs)} inputs but {len(targets)} targets")
     manifolds.check_on_manifold(kind, np.concatenate([inputs, targets]), "dataset")
-    return Dataset(kind=kind, inputs=inputs, targets=targets, metadata=doc["metadata"])
+    return Dataset(kind=kind, inputs=inputs, targets=targets, metadata=metadata)
 
 
 def save_dataset_csv(ds, path):

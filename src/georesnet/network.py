@@ -246,9 +246,10 @@ def load_checkpoint(path):
 
     Raises InvalidConfig naming the file unless it holds model, space and
     layers that make a NetworkConfig, the config's generator names if the
-    model is geometric, and params, a list of one object per layer, each
-    holding exactly the fields of the layer schema, numeric, at their
-    shapes, all finite.  meta may be left out; any other key is refused.
+    model is geometric (and none if it is classical), and params, a list of
+    one object per layer, each holding exactly the fields of the layer
+    schema, numeric, at their shapes, all finite.  meta, an object, may be
+    left out; any other key is refused.
     """
     return read_json_object(path, _checkpoint)
 
@@ -260,6 +261,12 @@ def _checkpoint(doc):
     if cfg.model == MANIFOLD and doc.get("generators") != list(cfg.generators.names):
         raise InvalidConfig(f"generators must be {list(cfg.generators.names)}, "
                             f"got {doc.get('generators')!r}")
+    if cfg.model == CLASSICAL and "generators" in doc:
+        raise InvalidConfig("a classical checkpoint holds no generators, "
+                            f"got {doc['generators']!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InvalidConfig(f"meta must be a JSON object, got {type(meta).__name__}")
     entries = doc["params"]
     if not (isinstance(entries, list) and len(entries) == cfg.layers
             and all(isinstance(e, dict) for e in entries)):
@@ -270,4 +277,4 @@ def _checkpoint(doc):
         check_keys(entry, f"layer {n}", cls._fields)
         params.append(cls(*(numeric_array(entry[name], f"layer {n}: {name!r}", shape)
                             for name, shape in schema)))
-    return cfg, flatten_params(params), doc.get("meta", {})
+    return cfg, flatten_params(params), meta

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -37,6 +38,21 @@ def test_importing_the_cli_loads_neither_scipy_linalg_nor_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_command_in_the_readme_parses(capsys):
+    # parsing runs nothing, and it catches an example with a removed or misspelled flag;
+    # the commands are README's indented `georesnet` lines, backslash continuations joined
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        lines = fh.read().replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("    georesnet ")]
+    assert {command[0] for command in commands} == {"gen-data", "train", "sweep", "check"}
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(command)
+        except SystemExit:
+            pytest.fail(f"georesnet {shlex.join(command)}: {capsys.readouterr().err}")
 
 
 # --- gen-data ---------------------------------------------------------------
@@ -279,19 +295,20 @@ def test_train_rejects_a_step_size_or_penalty_no_float_can_hold(tmp_path, capsys
         assert not out.exists()
 
 
-def train_args(config, out):
+def train_args(data_dir, config, out):
     return ["train", "--model", "manifold", "--experiment", "exp1", "--layers", "1",
-            "--config", str(config), "--out", str(out)]
+            "--data", str(data_dir), "--config", str(config), "--out", str(out)]
 
 
 def test_train_names_the_config_file_in_a_range_error(tmp_path, capsys):
     # a file value is checked before a flag replaces it, so --seed 3 does not hide seed -1
+    data_dir = make_data_dir(tmp_path)
     for i, (bad, flags, message) in enumerate((
             ({"lr0": -1}, [], "lr0 must be finite and positive"),
             ({"seed": -1}, ["--seed", "3"], "seed must be nonnegative"))):
         config = write_json(tmp_path / f"train{i}.json", bad)
         out = tmp_path / f"run{i}"
-        assert cli.main(train_args(config, out) + flags) == 1
+        assert cli.main(train_args(data_dir, config, out) + flags) == 1
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
         assert not out.exists()
 
@@ -306,7 +323,7 @@ def test_train_reports_hostile_json_naming_the_file(tmp_path, capsys, text):
     config = tmp_path / "hostile.json"
     config.write_text(text)
     out = tmp_path / "run"
-    assert cli.main(train_args(config, out)) == 1
+    assert cli.main(train_args(make_data_dir(tmp_path), config, out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {config}: not valid JSON: ")
     assert not out.exists()
 
@@ -336,24 +353,21 @@ def test_train_with_zero_epochs_records_the_initial_net(tmp_path, capsys):
 
 
 def test_train_rejects_a_negative_seed(tmp_path, capsys):
-    for flag in ("--seed", "--data-seed"):
-        code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
-                         "--layers", "1", flag, "-1", "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
-
-
-def test_train_rejects_a_data_seed_beside_a_data_directory(tmp_path, capsys):
-    # the loaded data would silently ignore the seed, even one equal to the default
     data_dir = make_data_dir(tmp_path)
-    capsys.readouterr()
-    for seed in ("0", "5"):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["train", "--model", "manifold", "--experiment", "exp1",
-                      "--layers", "1", "--data", str(data_dir), "--data-seed", seed,
-                      "--out", str(tmp_path / "run")])
-        assert exit_.value.code == 2
-        assert "argument --data-seed: not allowed with argument --data" in capsys.readouterr().err
+    code = cli.main(["train", "--model", "manifold", "--experiment", "exp1",
+                     "--layers", "1", "--data", str(data_dir), "--seed", "-1",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
+
+def test_train_requires_a_data_directory(tmp_path, capsys):
+    # the datasets come from gen-data; train draws none of its own
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--model", "manifold", "--experiment", "exp1", "--layers", "1",
+                  "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    assert "the following arguments are required: --data" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -494,14 +508,18 @@ def test_sweep_rejects_negative_seeds_and_non_finite_train_overrides(tmp_path, c
 
 def test_train_and_a_sweep_cell_write_the_same_run(tmp_path):
     # both record a run through train.run, so the same data, net and
-    # config give the same files, for a finished and a diverged run
+    # config give the same files, for a finished and a diverged run; train
+    # reads the datasets gen-data wrote, and the sweep draws them in memory
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen-data", "--experiment", "exp1", "--seed", "7",
+                     "--out", str(data_dir)]) == 0
     for status, overrides, extra in (("ok", {"epochs": 5}, []),
                                      ("diverged", {"epochs": 40, "lr0": 1e8}, ["--seed", "7"])):
         root = tmp_path / status
         root.mkdir()
         config = write_json(root / "train.json", overrides)
         code = cli.main(["train", "--model", "classical", "--experiment", "exp1",
-                         "--layers", "1", "--data-seed", "7", "--seed", "0",
+                         "--layers", "1", "--data", str(data_dir), "--seed", "0",
                          "--config", config, "--out", str(root / "train")])
         assert code == (3 if status == "diverged" else 0)
         # the diverged case sets the data seed with sweep --seed instead
@@ -522,11 +540,13 @@ def test_a_count_past_the_integer_bound_exits_1_naming_its_file(tmp_path, capsys
     # each count is refused when its config is made, before anything is allocated
     # or any directory made; the error names the file the count came from, if any
     huge = 10 ** 30
+    data_dir = make_data_dir(tmp_path)
     configs = {"train": {"epochs": huge}, "gen": {"p_train": 10 ** 45},
                "spec": {"experiment": "exp1", "manifold_layers": [huge],
                         "classical_layers": [1]}}
     paths = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in configs.items()}
-    train_cmd = ["train", "--model", "manifold", "--experiment", "exp1", "--layers"]
+    train_cmd = ["train", "--model", "manifold", "--experiment", "exp1", "--data", str(data_dir),
+                 "--layers"]
     gen_cmd = ["gen-data", "--experiment", "exp1"]
     for i, (args, path, what, key) in enumerate((
             (train_cmd + [str(huge)], None, "network config", "layers"),

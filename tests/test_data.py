@@ -382,6 +382,14 @@ def test_load_dataset_rejects_an_unknown_key_naming_the_file(tmp_path):
             match=re.escape(f"{path}: unknown dataset keys: ['targetz']"))
 
 
+def test_load_dataset_rejects_metadata_that_is_not_an_object_naming_the_file(tmp_path):
+    # save_dataset writes the generation settings as an object
+    for metadata, name in ((5, "int"), ([1, "x"], "list"), ("steps", "str"), (None, "NoneType")):
+        path, doc = saved_dataset(tmp_path, "exp2")
+        rejects(path, dict(doc, metadata=metadata),
+                match=re.escape(f"{path}: metadata must be a JSON object, got {name}"))
+
+
 def test_load_dataset_rejects_non_finite_values(tmp_path):
     for bad in (float("nan"), float("inf"), None):
         path, doc = saved_dataset(tmp_path, "exp1")

@@ -511,6 +511,26 @@ def test_load_checkpoint_refuses_other_generator_names_naming_the_file(tmp_path)
     path, doc = saved_checkpoint(tmp_path, sphere_cfg(1, network.CLASSICAL))
     assert "generators" not in doc
     assert network.load_checkpoint(path)[0] == sphere_cfg(1, network.CLASSICAL)
+    # so one that names any, its space's own included, is not a saved one
+    for cfg in (sphere_cfg(1, network.CLASSICAL), so3_cfg(1, network.CLASSICAL)):
+        for generators in (["rot_x", "rot_q"], list(cfg.generators.names), None):
+            path, doc = saved_checkpoint(tmp_path, cfg)
+            doc["generators"] = generators
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidConfig, match=re.escape(
+                    f"{path}: a classical checkpoint holds no generators, got {generators!r}")):
+                network.load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_a_meta_that_is_not_an_object_naming_the_file(tmp_path):
+    for cfg in (sphere_cfg(1), so3_cfg(1, network.CLASSICAL)):
+        for meta, name in (([1, "x"], "list"), (5, "int"), ("ok", "str"), (None, "NoneType")):
+            path, doc = saved_checkpoint(tmp_path, cfg)
+            doc["meta"] = meta
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidConfig, match=re.escape(
+                    f"{path}: meta must be a JSON object, got {name}")):
+                network.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("edit", [
