@@ -99,6 +99,7 @@ def manifold_layer_vjp(x, saved, params, cfg, vout):
     # contiguous operands take matmul's fast path with the same sums;
     # R^T = exp(-W) is bitwise the transpose of R = exp(W)
     g = vout @ np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    # read through network, so a wrapper installed at network.expm_skew3 sees this call too
     x_cot = network.expm_skew3(-omega) @ vout
     omega_cot = rotation_cotangent(g, omega)
     f_cot = cfg.dt * (omega_cot @ cfg.generators.axials.T)

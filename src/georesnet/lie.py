@@ -102,7 +102,7 @@ def _append_independent(hull, candidate):
         hull.append(candidate)
 
 
-def bracket_generating_at(gens, points, depth=2):
+def bracket_generating_at(gens, points, depth):
     """Whether the hull fields span the full tangent space, at each point.
 
     points is a batch of manifold points; the result holds one verdict per

@@ -40,11 +40,12 @@ def by_angle(theta, series, closed):
     """Evaluate a tuple of coefficient arrays on both sides of SMALL_ANGLE.
 
     series and closed each map an angle array to a tuple of arrays of its
-    shape.  When every angle falls on one side of the threshold (the
-    usual case: a step's rotations are all tiny or all not) the matching
-    branch runs on the whole array; only a mixed batch pays for the mask
-    gathers and scatters.  The arithmetic is elementwise either way, so
-    each entry is bitwise the same however the batch is split.
+    shape.  If every angle falls on one side of the threshold (the usual
+    case: a step's rotations are all tiny or all not) that branch runs on
+    the whole array; a mixed batch runs both on the whole batch, keeps each
+    entry's own value and ignores the floating-point warnings of the branch
+    an entry does not take.  The arithmetic is elementwise, so every entry
+    is bitwise the same whichever path its batch takes.
     """
     theta = np.asarray(theta, dtype=float)
     small = theta < SMALL_ANGLE
@@ -52,14 +53,8 @@ def by_angle(theta, series, closed):
         return series(theta)
     if not small.any():
         return closed(theta)
-    big = ~small
-    out = []
-    for lo, hi in zip(series(theta[small]), closed(theta[big])):
-        merged = np.empty_like(theta)
-        merged[small] = lo
-        merged[big] = hi
-        out.append(merged)
-    return tuple(out)
+    with np.errstate(all="ignore"):
+        return tuple(np.where(small, lo, hi) for lo, hi in zip(series(theta), closed(theta)))
 
 
 def _sinc_series(t):

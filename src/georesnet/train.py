@@ -124,8 +124,10 @@ def train_loop(train_ds, test_ds, net_cfg, cfg):
     trace is alive at a time.  The loop holds the parameters only as the
     flat vector theta, beside the SGD velocity laid out like it.
     """
-    if train_ds.kind != net_cfg.space or test_ds.kind != net_cfg.space:
-        raise InvalidConfig("dataset manifold does not match the network")
+    kinds = {train_ds.kind, test_ds.kind}
+    if kinds != {net_cfg.space}:
+        raise InvalidConfig(f"datasets on {' and '.join(sorted(kinds))}"
+                            f" do not match the network on {net_cfg.space}")
     theta = network.init_params(net_cfg, np.random.default_rng(cfg.seed))
     velocity = np.zeros_like(theta)
 

@@ -371,6 +371,17 @@ def test_train_requires_a_data_directory(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_names_both_spaces_for_a_dataset_of_the_other_space(tmp_path, capsys):
+    data_dir = make_data_dir(tmp_path)  # exp1: points on the sphere
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--model", "manifold", "--experiment", "exp2", "--layers", "1",
+                     "--data", str(data_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: datasets on sphere2 do not match the network on so3\n"
+    assert not out.exists()
+
+
 def test_train_reports_a_malformed_json_config(tmp_path, capsys):
     data_dir = make_data_dir(tmp_path)
     capsys.readouterr()

@@ -124,7 +124,8 @@ def test_mixed_batch_exponential_equals_each_row_alone():
 # --- series / closed-form dispatch of the Rodrigues coefficients -----------
 
 SMALL_ANGLES = np.array([0.0, 1e-12, 3e-5, 6.1e-5, SMALL_ANGLE * (1.0 - 1e-12)])
-BIG_ANGLES = np.array([SMALL_ANGLE, 2.1e-4, 6.3e-4, 0.5, np.pi, 40.0])
+# 1e60 stands for an angle that a diverging geometric run reaches
+BIG_ANGLES = np.array([SMALL_ANGLE, 2.1e-4, 6.3e-4, 0.5, np.pi, 40.0, 1e60])
 
 
 @pytest.mark.parametrize("coeffs", [_sinc_coeffs, _rotation_coeffs])
@@ -134,8 +135,12 @@ def test_coefficients_agree_across_all_dispatch_paths(coeffs):
                 for p in zip(coeffs(SMALL_ANGLES), coeffs(BIG_ANGLES))]
     angles = np.concatenate([SMALL_ANGLES, BIG_ANGLES])
     order = np.random.default_rng(8).permutation(len(angles))
-    for got, want in zip(coeffs(angles[order]), expected):  # masked path
+    for got, want in zip(coeffs(angles[order]), expected):  # merged path
         assert np.array_equal(got, want[order])
+    # at scale, where the branch an entry does not take gives 0/0 or overflows
+    many = np.random.default_rng(9).integers(len(angles), size=10_000)
+    for got, want in zip(coeffs(angles[many]), expected):
+        assert np.array_equal(got, want[many])
     for i, t in enumerate(angles):                          # 0-d angles
         for got, want in zip(coeffs(t), expected):
             assert np.shape(got) == () and got == want[i]

@@ -204,7 +204,8 @@ def test_run_returns_the_test_mse_of_its_checkpoint():
 def test_train_loop_rejects_a_manifold_mismatch():
     train_ds, test_ds = small_datasets()
     so3_cfg = network.NetworkConfig(network.MANIFOLD, manifolds.SO3, 2)
-    with pytest.raises(InvalidConfig):
+    message = "datasets on sphere2 do not match the network on so3"
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
         train.train_loop(train_ds, test_ds, so3_cfg, train.TrainConfig(epochs=1))
 
 
