@@ -136,6 +136,7 @@ def _suite_gradcheck(rng):
     errors = []
     for _ in range(50):
         kind = manifolds.KINDS[rng.integers(2)]
+        # two, not len(MODELS): a family added later must not move this report's draws
         model = network.MODELS[rng.integers(2)]
         cfg = network.NetworkConfig(model, kind, int(rng.choice((1, 2, 4))))
         theta = network.init_params(cfg, rng)

@@ -158,11 +158,10 @@ def backward_from_trace(trace, cotangent):
     per-layer parameters the trace recorded.  The result is laid out like
     the flat parameter vector theta (network.flatten_params).
     """
-    cfg = trace.config
-    rows = len(cotangent)
-    upstream = cotangent.reshape((rows,) + trace.states[0].shape[1:])  # flat rows for the baseline
-    # read from the module globals on each call, so a wrapped VJP sees every layer
-    layer_vjp = manifold_layer_vjp if cfg.model == network.MANIFOLD else classical_layer_vjp
+    cfg, rows = trace.config, len(cotangent)
+    upstream = cotangent.reshape((rows,) + trace.states[0].shape[1:])  # the layers' state shape
+    # <model>_layer_vjp, looked up by name on each call, so a wrapped VJP sees every layer
+    layer_vjp = globals()[f"{cfg.model}_layer_vjp"]
     grads = [None] * cfg.layers
     for n in reversed(range(cfg.layers)):
         upstream, grads[n] = layer_vjp(trace.states[n][:rows], [s[:rows] for s in trace.saved[n]],

@@ -15,6 +15,7 @@ flattened ambient state and has no such protection.
 Both nets take and return batches of manifold points, (P, 3) on S2 and
 (P, 3, 3) on SO(3).  network_forward is the only function that turns them
 into the layers' form and back: (P, 3, k) columns or flat ambient rows.
+family(cfg) is the one place that asks which model a config runs.
 
 Parameters cross every function above the layers as one flat vector theta;
 only network_forward and save_checkpoint cut it up (unflatten_params).
@@ -61,11 +62,9 @@ class NetworkConfig:
         return lie.standard_generators(self.space)
 
 
-# One layer's parameters, each tuple in theta's stored order.  Geometric, per
-# generator: gains (m,), weights (m,) + point shape, biases (m,).
+# One layer's parameters, each tuple in theta's stored order, at family(cfg).shapes.
+# The classical block is x + dt * w_out @ sigma(w_in @ x + bias) on flat rows.
 ManifoldLayerParams = namedtuple("ManifoldLayerParams", "gains weights biases")
-# The residual block x + dt * w_out @ sigma(w_in @ x + bias) on d flat coordinates,
-# d = manifolds.ambient_dim: w_out (d, d), w_in (d, d), bias (d,).
 ClassicalLayerParams = namedtuple("ClassicalLayerParams", "w_out w_in bias")
 
 
@@ -153,18 +152,16 @@ def network_forward(x0, theta, cfg):
     exceeds manifolds.ON_MANIFOLD_TOL, or is NaN, raise OffManifold; this is
     the only manifold check on the way through the layers.
 
-    The layers take the batch in their own form, made here on entry: 3 x k
-    columns (manifolds.as_columns) or flat ambient rows.  The trace records
-    that form, and the output is reshaped back to points on exit.
+    The layers take the batch in their family's state_shape, and the trace
+    records that form.  <model>_layer_forward is looked up by name on each
+    pass, so a wrapper installed at that module attribute sees every layer.
     """
-    params = unflatten_params(theta, cfg)
+    fam, params = family(cfg), unflatten_params(theta, cfg)
     x = manifolds.as_batch(cfg.space, x0, "inputs")  # the layers round a row as in C order
-    if cfg.model == MANIFOLD:
+    if fam.on_manifold:
         manifolds.check_on_manifold(cfg.space, x, "network input")
-        x, layer_forward = manifolds.as_columns(x), manifold_layer_forward
-    else:
-        x = x.reshape(len(x), manifolds.ambient_dim(cfg.space))
-        layer_forward = classical_layer_forward
+    x = x.reshape((len(x),) + fam.state_shape)
+    layer_forward = globals()[f"{cfg.model}_layer_forward"]
     trace = ForwardTrace(cfg, params, [x], [])
     for n in range(cfg.layers):
         x, saved = layer_forward(x, params[n], cfg)
@@ -173,37 +170,39 @@ def network_forward(x0, theta, cfg):
     return x.reshape((len(x),) + manifolds.point_shape(cfg.space)), trace
 
 
-def layer_schema(cfg):
-    """The stored layout of one layer: (named tuple type, fields, init scale).
+Family = namedtuple("Family", "layer shapes init_scale on_manifold state_shape checkpoint_keys")
 
-    fields pairs each of the type's field names with its per-layer shape, in
-    stored order; parameter counting, initialization, flattening and
-    checkpoints all follow it.  init_scale
-    multiplies the uniform(-0.5, 0.5) initial draw: 1/sqrt(d) for the
-    baseline, 1 for the geometric net.
+
+def family(cfg):
+    """Everything cfg's model family differs in, as a Family.
+
+    layer is the per-layer parameter type and shapes its fields' shapes, in
+    stored order; counting, initialization, flattening and checkpoints all
+    follow them.  init_scale multiplies the uniform(-0.5, 0.5) initial draw,
+    on_manifold says whether inputs must lie on the manifold, state_shape is
+    one point's shape in the layers (3 x k columns or d flat coordinates),
+    and checkpoint_keys is what a checkpoint holds beside the layers.
     """
+    d = manifolds.ambient_dim(cfg.space)
     if cfg.model == MANIFOLD:
         m = len(cfg.generators.axials)
-        weights = (m,) + manifolds.point_shape(cfg.space)
-        cls, shapes, scale = ManifoldLayerParams, ((m,), weights, (m,)), 1.0
-    else:
-        d = manifolds.ambient_dim(cfg.space)
-        cls, shapes, scale = ClassicalLayerParams, ((d, d), (d, d), (d,)), 1.0 / np.sqrt(d)
-    return cls, tuple(zip(cls._fields, shapes)), scale
+        return Family(ManifoldLayerParams, ((m,), (m,) + manifolds.point_shape(cfg.space), (m,)),
+                      1.0, True, (3, d // 3), {"generators": list(cfg.generators.names)})
+    return Family(ClassicalLayerParams, ((d, d), (d, d), (d,)), 1.0 / np.sqrt(d), False, (d,), {})
 
 
 def param_count(cfg):
     """Number of stored scalars: 10M / 33M geometric, 21M / 171M baseline."""
-    return cfg.layers * sum(math.prod(shape) for _, shape in layer_schema(cfg)[1])
+    return cfg.layers * sum(math.prod(shape) for shape in family(cfg).shapes)
 
 
 def init_params(cfg, rng):
-    """Fresh theta, uniform(-0.5, 0.5) times the schema's scale.
+    """Fresh theta, uniform(-0.5, 0.5) times the family's init_scale.
 
     One draw fills every layer in stored order, which gives the same
     numbers as drawing field by field.
     """
-    return rng.uniform(-0.5, 0.5, param_count(cfg)) * layer_schema(cfg)[2]
+    return rng.uniform(-0.5, 0.5, param_count(cfg)) * family(cfg).init_scale
 
 
 def flatten_params(params):
@@ -220,36 +219,34 @@ def unflatten_params(theta, cfg):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (param_count(cfg),):
         raise InvalidConfig(f"expected a vector of {param_count(cfg)} scalars, got {theta.shape}")
-    cls, schema, _ = layer_schema(cfg)
-    rows, sizes = theta.reshape(cfg.layers, -1), [math.prod(shape) for _, shape in schema]
+    fam = family(cfg)
+    rows, sizes = theta.reshape(cfg.layers, -1), [math.prod(shape) for shape in fam.shapes]
     columns = [rows[:, sum(sizes[:i]):sum(sizes[:i + 1])].reshape((cfg.layers,) + shape)
-               for i, (_, shape) in enumerate(schema)]
-    return [cls(*layer) for layer in zip(*columns)]
+               for i, shape in enumerate(fam.shapes)]
+    return [fam.layer(*layer) for layer in zip(*columns)]
 
 
 def save_checkpoint(path, cfg, theta, meta=None):
     """Write architecture and theta as JSON, one object per layer; floats round-trip bitwise."""
-    doc = {
+    write_json(path, {
         "model": cfg.model,
         "space": cfg.space,
         "layers": cfg.layers,
         "params": [layer._asdict() for layer in unflatten_params(theta, cfg)],
         "meta": meta or {},
-    }
-    if cfg.model == MANIFOLD:
-        doc["generators"] = list(cfg.generators.names)
-    write_json(path, doc)
+        **family(cfg).checkpoint_keys,
+    })
 
 
 def load_checkpoint(path):
     """Read a checkpoint back as (config, theta, meta).
 
     Raises InvalidConfig naming the file unless it holds model, space and
-    layers that make a NetworkConfig, the config's generator names if the
-    model is geometric (and none if it is classical), and params, a list of
-    one object per layer, each holding exactly the fields of the layer
-    schema, numeric, at their shapes, all finite.  meta, an object, may be
-    left out; any other key is refused.
+    layers that make a NetworkConfig, exactly its family's checkpoint_keys
+    (a geometric net's generator names), and params, a list of one object
+    per layer, each holding exactly the family's fields, numeric, at their
+    shapes, all finite.  meta, an object, may be left out; any other key is
+    refused.
     """
     return read_json_object(path, _checkpoint)
 
@@ -258,12 +255,10 @@ def _checkpoint(doc):
     check_keys(doc, "checkpoint", ("model", "space", "layers", "params", "generators", "meta"),
                optional=("generators", "meta"))
     cfg = NetworkConfig(doc["model"], doc["space"], doc["layers"])
-    if cfg.model == MANIFOLD and doc.get("generators") != list(cfg.generators.names):
-        raise InvalidConfig(f"generators must be {list(cfg.generators.names)}, "
-                            f"got {doc.get('generators')!r}")
-    if cfg.model == CLASSICAL and "generators" in doc:
-        raise InvalidConfig("a classical checkpoint holds no generators, "
-                            f"got {doc['generators']!r}")
+    fam, found = family(cfg), {key: doc[key] for key in ("generators",) if key in doc}
+    if found != fam.checkpoint_keys:
+        raise InvalidConfig(f"a {cfg.model} checkpoint on {cfg.space} holds "
+                            f"{fam.checkpoint_keys} beside its layers, got {found}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise InvalidConfig(f"meta must be a JSON object, got {type(meta).__name__}")
@@ -271,10 +266,9 @@ def _checkpoint(doc):
     if not (isinstance(entries, list) and len(entries) == cfg.layers
             and all(isinstance(e, dict) for e in entries)):
         raise InvalidConfig(f"params must be a list of {cfg.layers} objects, one per layer")
-    cls, schema, _ = layer_schema(cfg)
     params = []
     for n, entry in enumerate(entries):
-        check_keys(entry, f"layer {n}", cls._fields)
-        params.append(cls(*(numeric_array(entry[name], f"layer {n}: {name!r}", shape)
-                            for name, shape in schema)))
+        check_keys(entry, f"layer {n}", fam.layer._fields)
+        params.append(fam.layer(*(numeric_array(entry[name], f"layer {n}: {name!r}", shape)
+                                  for name, shape in zip(fam.layer._fields, fam.shapes))))
     return cfg, flatten_params(params), meta

@@ -14,7 +14,9 @@ errors.read_json_object, which names the file in every error.  The
 geometric layer functions never ask which space they run on: one layer
 serves S2 and SO(3), since network_forward hands them 3 x k columns.  Only
 manifolds compares an array's shape past its first axis with a point shape,
-in as_batch, so every entry point checks a batch of points by one rule.
+in as_batch, so every entry point checks a batch of points by one rule.  Only
+network.family compares a model name, so which model a config runs is decided
+in one place, and a new model family is one branch there.
 """
 
 import ast
@@ -200,3 +202,42 @@ def test_only_manifolds_checks_the_shape_of_a_point_batch():
     found = {path.name: batch_shape_checks(path.read_text()) for path in PACKAGE}
     assert found.pop("manifolds.py") == ["points.shape[1:] != point_shape(kind)"]
     assert {name: checks for name, checks in found.items() if checks} == {}
+
+
+def names_a_model(node):
+    """Whether node is MANIFOLD or CLASSICAL, bare or as an attribute, the string
+    "manifold" or "classical", or a tuple, list or set holding one of these."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(names_a_model(element) for element in node.elts)
+    constants = ("MANIFOLD", "CLASSICAL")
+    return (isinstance(node, ast.Name) and node.id in constants
+            or isinstance(node, ast.Attribute) and node.attr in constants
+            or isinstance(node, ast.Constant) and node.value in ("manifold", "classical"))
+
+
+def model_comparisons(source):
+    """[(top-level def or class, comparison)] for the comparisons in source, as spelled
+    there, with an operand that names_a_model; the def is None at module level."""
+    return [(getattr(top, "name", None), ast.unparse(node))
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Compare)
+            and any(names_a_model(side) for side in (node.left, *node.comparators))]
+
+
+def test_model_comparisons_finds_every_spelling_of_a_model_branch_and_nothing_else():
+    source = ("def family(cfg):\n    if cfg.model == MANIFOLD:\n        return 1\n\n\n"
+              "def save(cfg):\n    return network.CLASSICAL != cfg.model\n\n\n"
+              "class Spec:\n    ok = 'classical' == m or m in (CLASSICAL, x)\n\n\n"
+              "gate = model is not 'manifold'\n"
+              "clean = cfg.model in MODELS or cfg.model == other or MANIFOLD\n"
+              "also = {MANIFOLD: 1}[m] == 'manifolds' or m.kind == CLASSICAL_X\n")
+    assert model_comparisons(source) == [
+        ("family", "cfg.model == MANIFOLD"), ("save", "network.CLASSICAL != cfg.model"),
+        ("Spec", "'classical' == m"), ("Spec", "m in (CLASSICAL, x)"),
+        (None, "model is not 'manifold'")]
+
+
+def test_only_network_family_compares_a_model_name():
+    found = {path.name: model_comparisons(path.read_text()) for path in PACKAGE}
+    assert {function for function, _ in found.pop("network.py")} == {"family"}
+    assert {name: compares for name, compares in found.items() if compares} == {}

@@ -442,12 +442,12 @@ def test_checkpoint_stores_each_layer_in_the_schema_order(tmp_path, model, space
     theta = network.init_params(cfg, np.random.default_rng(23))
     path = tmp_path / "ckpt.json"
     network.save_checkpoint(path, cfg, theta)
-    schema = network.layer_schema(cfg)[1]
-    assert [name for name, _ in schema] == STORED_FIELDS[model]
+    fam = network.family(cfg)
+    assert list(fam.layer._fields) == STORED_FIELDS[model]
     layers = json.loads(path.read_text())["params"]
     for layer in layers:
         assert list(layer) == STORED_FIELDS[model]
-        assert [np.shape(layer[name]) for name in layer] == [shape for _, shape in schema]
+        assert [np.shape(layer[name]) for name in layer] == list(fam.shapes)
     first = np.ravel(layers[0][STORED_FIELDS[model][0]])
     assert np.array_equal(theta[:len(first)], first)
 
@@ -499,13 +499,17 @@ def test_load_checkpoint_refuses_an_unknown_key_or_a_missing_field_naming_the_fi
 
 
 def test_load_checkpoint_refuses_other_generator_names_naming_the_file(tmp_path):
-    # the layers run cfg.generators; a checkpoint that names another set is not theirs
+    # the layers run cfg.generators; a checkpoint that names another set, or none, is not theirs
     for cfg in (sphere_cfg(1), so3_cfg(1)):
-        for generators in (["rot_x", "rot_q"], ["rot_y", "rot_z", "rot_x"], None):
+        expected = {"generators": list(cfg.generators.names)}
+        for found in ({"generators": ["rot_x", "rot_q"]},
+                      {"generators": ["rot_y", "rot_z", "rot_x"]}, {"generators": None}, {}):
             path, doc = saved_checkpoint(tmp_path, cfg)
-            doc["generators"] = generators
-            path.write_text(json.dumps(doc))
-            with pytest.raises(InvalidConfig, match=re.escape(f"{path}: generators must be")):
+            del doc["generators"]
+            path.write_text(json.dumps(dict(doc, **found)))
+            with pytest.raises(InvalidConfig, match=re.escape(
+                    f"{path}: a manifold checkpoint on {cfg.space} holds {expected} beside its "
+                    f"layers, got {found}")):
                 network.load_checkpoint(path)
     # the baseline has no generators, and a saved one has none to check
     path, doc = saved_checkpoint(tmp_path, sphere_cfg(1, network.CLASSICAL))
@@ -518,7 +522,8 @@ def test_load_checkpoint_refuses_other_generator_names_naming_the_file(tmp_path)
             doc["generators"] = generators
             path.write_text(json.dumps(doc))
             with pytest.raises(InvalidConfig, match=re.escape(
-                    f"{path}: a classical checkpoint holds no generators, got {generators!r}")):
+                    f"{path}: a classical checkpoint on {cfg.space} holds {{}} beside its "
+                    f"layers, got {{'generators': {generators!r}}}")):
                 network.load_checkpoint(path)
 
 
